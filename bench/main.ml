@@ -985,7 +985,8 @@ let wal_bench () =
   end
 
 (* Crash-point fuzzing at benchmark scale: on each of DS1–DS3 a
-   workload of temporal DDL, sequenced DML and benchmark queries runs
+   workload of temporal DDL, sequenced DML, bitemporal DML over several
+   transaction days and benchmark queries runs
    against a durable store whose every write is under a seeded byte
    budget; recovery from the resulting torn directory must always
    reproduce the database exactly as of some committed-statement
@@ -1030,11 +1031,40 @@ let recovery_fuzz () =
        REPLACE";
     ]
   in
+  (* a bitemporal table written over three transaction days, so crash
+     points land among new versions, closes of versions recorded on an
+     earlier day, in-place rewrites and removals of same-day versions *)
+  let ledger =
+    [
+      ( 0,
+        "CREATE TABLE fuzz_ledger (acct VARCHAR(10), bal INT) WITH VALIDTIME \
+         AND TRANSACTIONTIME" );
+      ( 0,
+        "INSERT INTO fuzz_ledger (acct, bal, begin_time, end_time) VALUES \
+         ('a', 100, DATE '2010-01-01', DATE '9999-12-31'), ('b', 50, DATE \
+         '2010-01-01', DATE '9999-12-31'), ('c', 7, DATE '2010-01-01', DATE \
+         '9999-12-31')" );
+      ( 1,
+        "VALIDTIME [DATE '2010-03-01', DATE '2010-06-01') UPDATE fuzz_ledger \
+         SET bal = bal + 10 WHERE acct <> 'c'" );
+      (1, "UPDATE fuzz_ledger SET bal = bal * 2 WHERE acct = 'a'");
+      (2, "DELETE FROM fuzz_ledger WHERE acct = 'b'");
+      (2, "UPDATE fuzz_ledger SET bal = 0 WHERE acct = 'c'");
+      (2, "DELETE FROM fuzz_ledger WHERE acct = 'c'");
+    ]
+  in
+  (* a workload step runs on its transaction day, counted from the
+     dataset's now *)
   let workload_of qids =
-    dml
+    List.map (fun sql -> (0, sql)) dml
+    @ ledger
     @ List.map
-        (fun id -> Queries.sequenced ~context (Queries.find id))
+        (fun id -> (2, Queries.sequenced ~context (Queries.find id)))
         qids
+  in
+  let run_step base e (day, sql) =
+    Engine.set_now e (Sqldb.Date.add_days (Engine.now base) day);
+    ignore (Stratum.exec_sql e sql)
   in
   let all_ids = List.map (fun (q : Queries.t) -> q.Queries.id) Queries.all in
   let plan =
@@ -1074,8 +1104,8 @@ let recovery_fuzz () =
       in
       record ();
       List.iter
-        (fun sql ->
-          ignore (Stratum.exec_sql e sql);
+        (fun step ->
+          run_step base e step;
           record ())
         workload;
       Sqleval.Persist.detach h;
@@ -1087,7 +1117,7 @@ let recovery_fuzz () =
         let dir = Filename.temp_dir "taupsm_fuzz_measure" "" in
         let e = Engine.copy base in
         let h = Sqleval.Persist.attach ~policy ~snapshot_every ~dir e in
-        List.iter (fun sql -> ignore (Stratum.exec_sql e sql)) workload;
+        List.iter (run_step base e) workload;
         Sqleval.Persist.detach h;
         rm_rf dir;
         let remaining =
@@ -1116,7 +1146,7 @@ let recovery_fuzz () =
                raise Exit
            in
            (try
-              List.iter (fun sql -> ignore (Stratum.exec_sql e sql)) workload
+              List.iter (run_step base e) workload
             with Fault.Crash _ -> ());
            (* detach flushes dirty aux records (calibration), so the
               budget can fire here too — that is just a crash during

@@ -23,6 +23,7 @@ module Schema = Sqldb.Schema
 module Database = Sqldb.Database
 module Calibration = Sqleval.Calibration
 module Cp_memo = Sqleval.Cp_memo
+module Versions = Sqleval.Versions
 
 (* Re-exported from {!Strategy} so [Stratum.Max]/[Stratum.Perst] keep
    working while {!Heuristic} and {!Cost_model} (which return
@@ -397,257 +398,77 @@ let sequenced_insert (e : Engine.t) ~context tname cols src : Eval.exec_result =
   in
   Engine.exec_stmt e stmt
 
-(* VALIDTIME [bt,et) DELETE: remove the row's validity within the
-   context; the parts outside the context survive as split rows.  This
-   is classic period splicing, done natively on the storage.  On a table
-   with transaction-time support the splice is append-only: affected
-   tt-current rows are closed at now and the surviving pieces re-enter
-   with a fresh transaction stamp. *)
-let sequenced_delete (e : Engine.t) ~context tname where : Eval.exec_result =
+(* VALIDTIME [bt,et) DELETE and UPDATE: classic period splicing.  Every
+   tt-current row whose validity overlaps the context and which
+   satisfies the predicate is replaced by its pieces outside the context
+   (old values) and, for an UPDATE ([sets] given), its piece inside the
+   context with the new values.  One read-only pass gathers that write
+   set — SET sees the pre-statement row and table — and
+   {!Versions.apply} writes it, closing rather than rewriting versions
+   recorded before today on a transaction-time table. *)
+let sequenced_splice (e : Engine.t) ~context tname ~sets where :
+    Eval.exec_result =
   install e;
   let cat = Engine.catalog e in
+  let now = Engine.now e in
+  let env = Eval.create_env ~now cat in
   let bt_e, et_e = Transform_util.context_exprs context in
-  let env0 = Eval.create_env ~now:(Engine.now e) cat in
-  let ctx_b = Value.to_date_exn (Eval.eval_expr env0 bt_e) in
-  let ctx_e = Value.to_date_exn (Eval.eval_expr env0 et_e) in
-  let ctx = Period.make ~begin_:ctx_b ~end_:ctx_e in
+  let date ex = Value.to_date_exn (Eval.eval_expr env ex) in
+  let ctx = Period.make ~begin_:(date bt_e) ~end_:(date et_e) in
   let t = Database.find_table_exn cat.Catalog.db tname in
   let schema = Table.schema t in
   if not schema.Schema.temporal then
-    raise (Eval.Sql_error "sequenced DELETE requires a temporal table");
+    raise
+      (Eval.Sql_error
+         (Printf.sprintf "sequenced %s requires a temporal table"
+            (if sets = None then "DELETE" else "UPDATE")));
   let bi = Schema.begin_index schema and ei = Schema.end_index schema in
-  let transactional = schema.Schema.transaction in
-  let now = Engine.now e in
-  let tt_current (row : Value.t array) =
-    (not transactional)
-    || Value.to_date_exn row.(Schema.tt_end_index schema) = Date.forever
+  let set = Option.map (Eval.set_columns env schema) sets in
+  let period (row : Value.t array) =
+    Period.make
+      ~begin_:(Value.to_date_exn row.(bi))
+      ~end_:(Value.to_date_exn row.(ei))
   in
-  let stamp (row : Value.t array) =
-    if transactional then begin
-      row.(Schema.tt_begin_index schema) <- Value.Date now;
-      row.(Schema.tt_end_index schema) <- Value.Date Date.forever
-    end;
-    row
+  let piece row (p : Period.t) =
+    let row' = Array.copy row in
+    row'.(bi) <- Value.Date p.Period.begin_;
+    row'.(ei) <- Value.Date p.Period.end_;
+    row'
   in
-  (* Evaluate the predicate per row with the table bound, as DML does. *)
-  let env = Eval.create_env ~now cat in
-  let matches row =
-    let b =
-      {
-        Eval.b_alias = String.lowercase_ascii tname;
-        b_cols =
-          Array.of_list
-            (List.map
-               (fun c -> String.lowercase_ascii c.Schema.col_name)
-               schema.Schema.columns);
-        b_row = row;
-      }
-    in
-    env.Eval.frames <- [ [ b ] ];
-    let r =
-      match where with
-      | None -> true
-      | Some w -> Eval.truthy (Eval.eval_expr env w)
-    in
-    env.Eval.frames <- [];
-    r
-  in
-  let to_split = ref [] in
-  let affected row =
-    let p =
-      Period.make
-        ~begin_:(Value.to_date_exn row.(bi))
-        ~end_:(Value.to_date_exn row.(ei))
-    in
-    if tt_current row && Period.overlaps p ctx && matches row then Some p
-    else None
-  in
-  let n = ref 0 in
-  if transactional then begin
-    (* Close affected versions (removing same-day ones outright). *)
-    ignore
-      (Table.delete_where
-         (fun row ->
-           match affected row with
-           | Some p
-             when Value.to_date_exn row.(Schema.tt_begin_index schema) = now ->
-               incr n;
-               to_split := (row, p) :: !to_split;
-               true
-           | _ -> false)
-         t);
-    ignore
-      (Table.update_where
-         (fun row -> affected row <> None)
-         (fun row ->
-           (match affected row with
-           | Some p ->
-               incr n;
-               to_split := (Array.copy row, p) :: !to_split
-           | None -> ());
-           let closed = Array.copy row in
-           closed.(Schema.tt_end_index schema) <- Value.Date now;
-           closed)
-         t)
-  end
-  else
-    ignore
-      (Table.delete_where
-         (fun row ->
-           match affected row with
-           | Some p ->
-               incr n;
-               to_split := (row, p) :: !to_split;
-               true
-           | None -> false)
-         t);
-  List.iter
-    (fun (row, p) ->
-      Fault.hit Fault.Period_slice;
-      List.iter
-        (fun (piece : Period.t) ->
-          let row' = Array.copy row in
-          row'.(bi) <- Value.Date piece.Period.begin_;
-          row'.(ei) <- Value.Date piece.Period.end_;
-          Table.insert t (stamp row'))
-        (Period.subtract p ctx))
-    !to_split;
-  Eval.Affected !n
+  (* Predicate and SET expressions see the stored row bound to the
+     table's name, as in conventional DML. *)
+  Eval.with_table_binding env t (fun b ->
+      let deletes =
+        Versions.current_rows t (fun row ->
+            Period.overlaps (period row) ctx
+            &&
+            (b.Eval.b_row <- row;
+             match where with
+             | None -> true
+             | Some w -> Eval.truthy (Eval.eval_expr env w)))
+      in
+      let inserts =
+        List.concat_map
+          (fun row ->
+            let p = period row in
+            let inside =
+              match (set, Period.intersect p ctx) with
+              | Some set, Some q ->
+                  b.Eval.b_row <- row;
+                  [ piece (set row) q ]
+              | _ -> []
+            in
+            List.map (piece row) (Period.subtract p ctx) @ inside)
+          deletes
+      in
+      Versions.apply cat ~now t ~inserts ~updates:[] ~deletes;
+      Eval.Affected (List.length deletes))
 
-(* VALIDTIME [bt,et) UPDATE: within the context the row takes the new
-   values; outside it the old values survive (split as needed).  Same
-   append-only behaviour as {!sequenced_delete} on transaction-time
-   tables. *)
-let sequenced_update (e : Engine.t) ~context tname sets where : Eval.exec_result =
-  install e;
-  let cat = Engine.catalog e in
-  let bt_e, et_e = Transform_util.context_exprs context in
-  let env0 = Eval.create_env ~now:(Engine.now e) cat in
-  let ctx_b = Value.to_date_exn (Eval.eval_expr env0 bt_e) in
-  let ctx_e = Value.to_date_exn (Eval.eval_expr env0 et_e) in
-  let ctx = Period.make ~begin_:ctx_b ~end_:ctx_e in
-  let t = Database.find_table_exn cat.Catalog.db tname in
-  let schema = Table.schema t in
-  if not schema.Schema.temporal then
-    raise (Eval.Sql_error "sequenced UPDATE requires a temporal table");
-  let bi = Schema.begin_index schema and ei = Schema.end_index schema in
-  let transactional = schema.Schema.transaction in
-  let now = Engine.now e in
-  let tt_current (row : Value.t array) =
-    (not transactional)
-    || Value.to_date_exn row.(Schema.tt_end_index schema) = Date.forever
-  in
-  let stamp (row : Value.t array) =
-    if transactional then begin
-      row.(Schema.tt_begin_index schema) <- Value.Date now;
-      row.(Schema.tt_end_index schema) <- Value.Date Date.forever
-    end;
-    row
-  in
-  let cols =
-    Array.of_list
-      (List.map
-         (fun c -> String.lowercase_ascii c.Schema.col_name)
-         schema.Schema.columns)
-  in
-  let set_idx =
-    List.map
-      (fun (c, ex) ->
-        let i = Schema.column_index_exn schema c in
-        let ty = (List.nth schema.Schema.columns i).Schema.col_ty in
-        (i, ty, ex))
-      sets
-  in
-  let env = Eval.create_env ~now cat in
-  let with_row row f =
-    let b =
-      { Eval.b_alias = String.lowercase_ascii tname; b_cols = cols; b_row = row }
-    in
-    env.Eval.frames <- [ [ b ] ];
-    let r = f () in
-    env.Eval.frames <- [];
-    r
-  in
-  let matches row =
-    with_row row (fun () ->
-        match where with
-        | None -> true
-        | Some w -> Eval.truthy (Eval.eval_expr env w))
-  in
-  let affected row =
-    let p =
-      Period.make
-        ~begin_:(Value.to_date_exn row.(bi))
-        ~end_:(Value.to_date_exn row.(ei))
-    in
-    if tt_current row && Period.overlaps p ctx && matches row then Some p
-    else None
-  in
-  let touched = ref [] in
-  let n = ref 0 in
-  if transactional then begin
-    ignore
-      (Table.delete_where
-         (fun row ->
-           match affected row with
-           | Some p
-             when Value.to_date_exn row.(Schema.tt_begin_index schema) = now ->
-               incr n;
-               touched := (row, p) :: !touched;
-               true
-           | _ -> false)
-         t);
-    ignore
-      (Table.update_where
-         (fun row -> affected row <> None)
-         (fun row ->
-           (match affected row with
-           | Some p ->
-               incr n;
-               touched := (Array.copy row, p) :: !touched
-           | None -> ());
-           let closed = Array.copy row in
-           closed.(Schema.tt_end_index schema) <- Value.Date now;
-           closed)
-         t)
-  end
-  else
-    ignore
-      (Table.delete_where
-         (fun row ->
-           match affected row with
-           | Some p ->
-               incr n;
-               touched := (row, p) :: !touched;
-               true
-           | None -> false)
-         t);
-  List.iter
-    (fun (row, p) ->
-      Fault.hit Fault.Period_slice;
-      (* Unchanged parts outside the context. *)
-      List.iter
-        (fun (piece : Period.t) ->
-          let row' = Array.copy row in
-          row'.(bi) <- Value.Date piece.Period.begin_;
-          row'.(ei) <- Value.Date piece.Period.end_;
-          Table.insert t (stamp row'))
-        (Period.subtract p ctx);
-      (* Updated part inside the context. *)
-      match Period.intersect p ctx with
-      | Some piece ->
-          let row' = Array.copy row in
-          with_row row (fun () ->
-              List.iter
-                (fun (i, ty, ex) ->
-                  row'.(i) <- Value.cast ~ty (Eval.eval_expr env ex))
-                set_idx);
-          row'.(bi) <- Value.Date piece.Period.begin_;
-          row'.(ei) <- Value.Date piece.Period.end_;
-          Table.insert t (stamp row')
-      | None -> ())
-    !touched;
-  Eval.Affected !n
+let sequenced_delete e ~context tname where =
+  sequenced_splice e ~context tname ~sets:None where
+
+let sequenced_update e ~context tname sets where =
+  sequenced_splice e ~context tname ~sets:(Some sets) where
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end execution                                                *)

@@ -152,7 +152,10 @@ val exec_counting_calls :
 (** {1 Sequenced modifications}
 
     Valid-time splicing: the statement applies within the context
-    period; validity outside it survives, split as needed. *)
+    period; validity outside it survives, split as needed.  DELETE and
+    UPDATE share one splice: a read-only pass over the pre-statement
+    table gathers the write set (UPDATE's [SET] sees the stored row),
+    and {!Sqleval.Versions.apply} writes it. *)
 
 val sequenced_insert :
   Sqleval.Engine.t ->

@@ -25,14 +25,9 @@ let lc = String.lowercase_ascii
 let violation ~period fmt =
   Taupsm_error.raise_error ?period Taupsm_error.Constraint_violation fmt
 
-(* tt-current test that tolerates malformed timestamp cells (treated as
-   current, so they are never silently exempt from checking). *)
-let tt_current schema (row : Value.t array) =
-  (not schema.Schema.transaction)
-  ||
-  match row.(Schema.tt_end_index schema) with
-  | Value.Date d -> d = Date.forever
-  | _ -> true
+(* Malformed timestamp cells count as current, so such rows are never
+   silently exempt from checking. *)
+let tt_current = Sqleval.Versions.tt_current
 
 let row_dates (row : Value.t array) ~bi ~ei =
   match (row.(bi), row.(ei)) with

@@ -5,9 +5,10 @@
    the union of target-row and source-row period boundaries, derives
    each segment's final payload from the merge mode, coalesces adjacent
    segments with identical payloads, and diffs the result against the
-   existing rows.  The execution phase then applies the plan through the
-   ordinary table mutators — INSERTs, then UPDATEs, then DELETEs — so
-   undo journaling, WAL events and crash recovery all come for free.
+   existing rows.  The execution phase then hands the plan to the shared
+   versioned-write executor ({!Sqleval.Versions.apply}), which writes
+   through the ordinary table mutators, INSERTs first — so undo
+   journaling, WAL events and crash recovery all come for free.
 
    Mode semantics per atomic segment (t = target payload, s = source):
    - REPLACE  final = s            (absent source columns become NULL)
@@ -208,19 +209,12 @@ let plan (cat : Catalog.t) ~now ?(tt_mode = `Current) (m : Ast.merge_stmt) :
     rs.RS.rows;
   let order = List.rev !order in
   (* Collect the existing tt-current rows of every mentioned key. *)
-  let tt_current (row : Value.t array) =
-    (not schema.Schema.transaction)
-    ||
-    match row.(Schema.tt_end_index schema) with
-    | Value.Date d -> d = Date.forever
-    | _ -> true
-  in
   let targets : (string, Value.t array list ref) Hashtbl.t =
     Hashtbl.create 64
   in
   Table.iter
     (fun row ->
-      if tt_current row then begin
+      if Sqleval.Versions.tt_current schema row then begin
         let key = List.map (fun i -> row.(i)) key_idx in
         if not (List.exists (fun v -> v = Value.Null) key) then
           let id = group_id key in
@@ -403,90 +397,9 @@ let plan (cat : Catalog.t) ~now ?(tt_mode = `Current) (m : Ast.merge_stmt) :
 (* ------------------------------------------------------------------ *)
 
 let execute (cat : Catalog.t) ~now (pl : plan) : int =
-  let t = Database.find_table_exn cat.Catalog.db pl.pl_target in
-  let schema = Table.schema t in
-  let transactional = schema.Schema.transaction in
-  let version_before = t.Table.version in
-  let stamp (row : Value.t array) =
-    if transactional then begin
-      row.(Schema.tt_begin_index schema) <- Value.Date now;
-      row.(Schema.tt_end_index schema) <- Value.Date Date.forever
-    end;
-    row
-  in
-  let same_day (row : Value.t array) =
-    transactional
-    && Value.to_date_exn row.(Schema.tt_begin_index schema) = now
-  in
-  let close (row : Value.t array) =
-    let closed = Array.copy row in
-    closed.(Schema.tt_end_index schema) <- Value.Date now;
-    closed
-  in
-  List.iter
-    (fun _ -> Fault.hit Fault.Period_slice)
-    (pl.pl_inserts @ List.map fst pl.pl_updates @ pl.pl_deletes);
-  (* 1. INSERTs. *)
-  List.iter (fun row -> Table.insert t (stamp row)) pl.pl_inserts;
-  (* 2. UPDATEs.  On a transaction-time table an update of a row first
-     recorded before today is append-only: the old version is closed at
-     now and the replacement enters with a fresh stamp. *)
-  let in_place, closing =
-    if transactional then
-      List.partition (fun (old_row, _) -> same_day old_row) pl.pl_updates
-    else (pl.pl_updates, [])
-  in
-  if in_place <> [] then
-    ignore
-      (Table.update_where
-         (fun r -> List.exists (fun (o, _) -> o == r) in_place)
-         (fun r ->
-           let _, replacement =
-             List.find (fun (o, _) -> o == r) in_place
-           in
-           stamp replacement)
-         t);
-  if closing <> [] then begin
-    ignore
-      (Table.update_where
-         (fun r -> List.exists (fun (o, _) -> o == r) closing)
-         (fun r -> close r)
-         t);
-    List.iter (fun (_, replacement) -> Table.insert t (stamp replacement))
-      closing
-  end;
-  (* 3. DELETEs: physical for same-day versions, close-at-now otherwise. *)
-  let gone, closed =
-    if transactional then List.partition same_day pl.pl_deletes
-    else (pl.pl_deletes, [])
-  in
-  if gone <> [] then
-    ignore (Table.delete_where (fun r -> List.memq r gone) t);
-  if closed <> [] then
-    ignore
-      (Table.update_where (fun r -> List.memq r closed) (fun r -> close r) t);
-  (* Incremental constant-period maintenance: the planner knows exactly
-     which valid-time boundary points this statement added (INSERTs) and
-     removed (physical DELETEs) — UPDATEs pair rows with identical
-     periods and contribute nothing — so splice them into the catalog's
-     point-set memo instead of forcing a rescan.  Transactional targets
-     are never memoized (closed versions stay physically present), and a
-     later rollback of this statement re-bumps the table version, which
-     invalidates the splice on its own. *)
-  if not transactional then begin
-    let bi = Schema.begin_index schema and ei = Schema.end_index schema in
-    let points rows =
-      List.concat_map
-        (fun (r : Value.t array) ->
-          match (r.(bi), r.(ei)) with
-          | Value.Date a, Value.Date b -> [ a; b ]
-          | _ -> [])
-        rows
-    in
-    Sqleval.Cp_memo.note_write cat.Catalog.cp_memo ~table:pl.pl_target
-      ~from_version:version_before ~to_version:t.Table.version
-      ~added:(points pl.pl_inserts) ~removed:(points pl.pl_deletes)
-  end;
+  Sqleval.Versions.apply cat ~now
+    (Database.find_table_exn cat.Catalog.db pl.pl_target)
+    ~inserts:pl.pl_inserts ~updates:pl.pl_updates ~deletes:pl.pl_deletes;
   plan_writes pl
 
 (* ------------------------------------------------------------------ *)

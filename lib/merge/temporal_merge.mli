@@ -7,10 +7,11 @@
     payload is derived from the merge mode; adjacent segments with equal
     non-ephemeral payloads are coalesced; and the result is diffed
     against the stored rows into inserts, updates and deletes.
-    Execution then applies the plan through the ordinary table mutators
-    — INSERTs, then UPDATEs, then DELETEs (sql_saga's add-then-modify
-    order) — so undo journaling, WAL durability and crash recovery are
-    inherited from the storage layer.
+    Execution then hands the plan to {!Sqleval.Versions.apply}, which
+    writes through the ordinary table mutators — INSERTs first
+    (sql_saga's add-then-modify order) — so undo journaling, WAL
+    durability and crash recovery are inherited from the storage
+    layer.
 
     Mode semantics per atomic segment (see docs/merge_semantics.md for
     the full matrix and worked examples):
@@ -55,11 +56,11 @@ val plan :
     temporal primary key. *)
 
 val execute : Sqleval.Catalog.t -> now:Sqldb.Date.t -> plan -> int
-(** Apply a plan: inserts, then updates, then deletes, returning the
-    number of writes.  On a transaction-time table the updates and
+(** Apply a plan through {!Sqleval.Versions.apply}, the versioned-write
+    executor shared with sequenced and transaction-time DML, returning
+    the number of writes.  On a transaction-time table the updates and
     deletes of rows first recorded before [now] are append-only (the old
-    version is closed at [now]); same-day rows are modified in place,
-    mirroring the sequenced DML splicing rules. *)
+    version is closed at [now]); same-day rows are modified in place. *)
 
 val exec :
   Sqleval.Catalog.t ->

@@ -15,13 +15,13 @@
      re-creation since there is no ALTER — bumps the database version
      and empties the memo wholesale;
    - a PER-TABLE version stamp guards against DML: a table mutated
-     outside the merge planner's {!note_write} protocol (sequenced
-     splicing, plain DML, an undo rollback — {!Sqldb.Table.version}
-     bumps on every mutation and is never rewound) fails the stamp
-     check and is rescanned.
+     outside the {!note_write} protocol (plain DML, an undo rollback —
+     {!Sqldb.Table.version} bumps on every mutation and is never
+     rewound) fails the stamp check and is rescanned.
 
-   {!note_write} is the incremental path: the merge planner knows
-   exactly which valid-time boundary points its statement adds and
+   {!note_write} is the incremental path: the versioned-write executor
+   ({!Versions.apply}, behind TEMPORAL MERGE and sequenced DML) knows
+   exactly which valid-time boundary points its write set adds and
    removes, so it splices them into the multiset and advances the
    stamp, keeping the memo warm across write/read alternation.
 
@@ -161,8 +161,8 @@ let periods t ~generation ~db ~tables ~bt ~et : result =
           Hashtbl.replace t.results key pairs;
           { pairs; cache_hit = false; rescanned = !rescanned })
 
-(* Incremental maintenance: the merge planner tells us which boundary
-   points its statement added/removed on [table], and which version
+(* Incremental maintenance: the writer tells us which boundary points
+   its statement added/removed on [table], and which version
    transition the write performed.  The splice applies only when the
    memo's stamp matches the pre-write version — anything else (a table
    never scanned, or mutated since) just drops the entry and lets the

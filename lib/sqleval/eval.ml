@@ -1942,10 +1942,7 @@ and exec_insert env tname cols src : exec_result =
         let pos = positions.(i) in
         row.(pos) <- Value.cast ~ty:tys.(pos) v)
       vs;
-    if transactional then begin
-      row.(Schema.tt_begin_index schema) <- Value.Date env.now;
-      row.(Schema.tt_end_index schema) <- Value.Date Date.forever
-    end;
+    Versions.stamp schema ~now:env.now row;
     Guard.charge_rows env.guard 1;
     Table.insert t row
   in
@@ -1977,132 +1974,76 @@ and with_table_binding env t f =
   env.frames <- [ b ] :: env.frames;
   Fun.protect ~finally:(fun () -> env.frames <- saved) (fun () -> f b)
 
-and exec_update env tname sets where : exec_result =
-  let t = Database.find_table_exn env.cat.Catalog.db tname in
-  let schema = Table.schema t in
-  (List.iter
-     (fun (c, _) ->
-       if
-         schema.Schema.transaction
-         &&
-         let k = String.lowercase_ascii c in
-         k = Schema.tt_begin_col || k = Schema.tt_end_col
-       then sql_error "column %s is system-maintained (transaction time)" c)
-     sets);
+(* An UPDATE's SET list, resolved against [schema]: applied to a stored
+   row (bound by the caller, so the expressions see it) it yields the
+   modified copy.  Transaction-time columns are system-maintained. *)
+and set_columns env (schema : Schema.t) sets =
   let set_idx =
     List.map
       (fun (c, e) ->
+        let k = String.lowercase_ascii c in
+        if
+          schema.Schema.transaction
+          && (k = Schema.tt_begin_col || k = Schema.tt_end_col)
+        then sql_error "column %s is system-maintained (transaction time)" c;
         let i = Schema.column_index_exn schema c in
-        let ty = (List.nth schema.Schema.columns i).Schema.col_ty in
-        (i, ty, e))
+        (i, (List.nth schema.Schema.columns i).Schema.col_ty, e))
       sets
   in
-  if not schema.Schema.transaction then
-    with_table_binding env t (fun b ->
-        let n =
-          Table.update_where
-            (fun row ->
-              b.b_row <- row;
-              match where with
-              | None -> true
-              | Some w -> truthy (eval_expr env w))
-            (fun row ->
-              b.b_row <- row;
-              let row' = Array.copy row in
-              List.iter
-                (fun (i, ty, e) -> row'.(i) <- Value.cast ~ty (eval_expr env e))
-                set_idx;
-              row')
-            t
+  fun (row : Value.t array) ->
+    let row' = Array.copy row in
+    List.iter
+      (fun (i, ty, e) -> row'.(i) <- Value.cast ~ty (eval_expr env e))
+      set_idx;
+    row'
+
+and exec_update env tname sets where : exec_result =
+  let t = Database.find_table_exn env.cat.Catalog.db tname in
+  let schema = Table.schema t in
+  let set = set_columns env schema sets in
+  with_table_binding env t (fun b ->
+      let matches row =
+        b.b_row <- row;
+        match where with None -> true | Some w -> truthy (eval_expr env w)
+      in
+      let modified row =
+        b.b_row <- row;
+        set row
+      in
+      if not schema.Schema.transaction then
+        Affected (Table.update_where matches modified t)
+      else begin
+        (* Transaction-time table: the update is append-only.  The
+           replacements are computed against the pre-statement table;
+           {!Versions.apply} closes the old versions (or rewrites the
+           ones opened today) and stamps the new ones. *)
+        let updates =
+          List.map
+            (fun row -> (row, modified row))
+            (Versions.current_rows t matches)
         in
-        Affected n)
-  else begin
-    (* Transaction-time table: the update is append-only.  The matching
-       current rows are closed at [now] and re-inserted with the new
-       values, stamped [now, forever); rows opened today are rewritten
-       in place (a zero-length transaction period would be invalid). *)
-    let bi = Schema.tt_begin_index schema and ei = Schema.tt_end_index schema in
-    let is_current (row : Value.t array) =
-      Value.to_date_exn row.(ei) = Date.forever
-    in
-    with_table_binding env t (fun b ->
-        let matches row =
-          b.b_row <- row;
-          is_current row
-          && match where with
-             | None -> true
-             | Some w -> truthy (eval_expr env w)
-        in
-        let modified row =
-          b.b_row <- row;
-          let row' = Array.copy row in
-          List.iter
-            (fun (i, ty, e) -> row'.(i) <- Value.cast ~ty (eval_expr env e))
-            set_idx;
-          row'
-        in
-        let to_reopen = ref [] in
-        let n =
-          Table.update_where matches
-            (fun row ->
-              if Value.to_date_exn row.(bi) = env.now then modified row
-              else begin
-                let fresh = modified row in
-                fresh.(bi) <- Value.Date env.now;
-                fresh.(ei) <- Value.Date Date.forever;
-                to_reopen := fresh :: !to_reopen;
-                let closed = Array.copy row in
-                closed.(ei) <- Value.Date env.now;
-                closed
-              end)
-            t
-        in
-        List.iter (Table.insert t) !to_reopen;
-        Affected n)
-  end
+        Versions.apply env.cat ~now:env.now t ~inserts:[] ~updates
+          ~deletes:[];
+        Affected (List.length updates)
+      end)
 
 and exec_delete env tname where : exec_result =
   let t = Database.find_table_exn env.cat.Catalog.db tname in
-  let schema = Table.schema t in
-  if not schema.Schema.transaction then
-    with_table_binding env t (fun b ->
-        let n =
-          Table.delete_where
-            (fun row ->
-              b.b_row <- row;
-              match where with
-              | None -> true
-              | Some w -> truthy (eval_expr env w))
-            t
-        in
-        Affected n)
-  else begin
-    (* Transaction-time table: a delete closes the current version at
-       [now]; versions opened today are removed outright. *)
-    let bi = Schema.tt_begin_index schema and ei = Schema.tt_end_index schema in
-    with_table_binding env t (fun b ->
-        let matches row =
-          b.b_row <- row;
-          Value.to_date_exn row.(ei) = Date.forever
-          && match where with
-             | None -> true
-             | Some w -> truthy (eval_expr env w)
-        in
-        let removed =
-          Table.delete_where
-            (fun row -> matches row && Value.to_date_exn row.(bi) = env.now)
-            t
-        in
-        let closed =
-          Table.update_where matches
-            (fun row ->
-              let row' = Array.copy row in
-              row'.(ei) <- Value.Date env.now;
-              row')
-            t
-        in
-        Affected (removed + closed))
-  end
+  with_table_binding env t (fun b ->
+      let matches row =
+        b.b_row <- row;
+        match where with None -> true | Some w -> truthy (eval_expr env w)
+      in
+      if not (Table.schema t).Schema.transaction then
+        Affected (Table.delete_where matches t)
+      else begin
+        (* Transaction-time table: a delete closes the current version
+           at [now]; versions opened today are removed outright. *)
+        let deletes = Versions.current_rows t matches in
+        Versions.apply env.cat ~now:env.now t ~inserts:[] ~updates:[]
+          ~deletes;
+        Affected (List.length deletes)
+      end)
 
 and exec_create_table env ct : exec_result =
   let from_result rs =

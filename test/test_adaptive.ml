@@ -312,6 +312,21 @@ let test_merge_keeps_memo_warm () =
   Alcotest.(check int) "plain DML forces one rescan" (rescans_warm + 1)
     (c "cp_memo.rescans")
 
+let test_sequenced_dml_splices_memo () =
+  let e = stock_engine () in
+  let cat = Engine.catalog e in
+  cat.Catalog.options.Catalog.memoize_constant_periods <- true;
+  ignore (Stratum.exec_sql ~strategy:Stratum.Max e stock_query);
+  let _, rescans, splices = Cp_memo.stats cat.Catalog.cp_memo in
+  ignore
+    (Stratum.exec_sql e
+       "VALIDTIME [DATE '2024-03-01', DATE '2024-04-01') UPDATE stock SET \
+        qty = 12 WHERE sku = 'apple'");
+  ignore (Stratum.exec_sql ~strategy:Stratum.Max e stock_query);
+  let _, rescans', splices' = Cp_memo.stats cat.Catalog.cp_memo in
+  Alcotest.(check int) "sequenced UPDATE splices" (splices + 1) splices';
+  Alcotest.(check int) "sequenced UPDATE does not rescan" rescans rescans'
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: incremental maintenance = full recomputation                *)
 (* ------------------------------------------------------------------ *)
@@ -319,8 +334,8 @@ let test_merge_keeps_memo_warm () =
 let month_date m =
   Printf.sprintf "%04d-%02d-01" (2024 + (m / 12)) ((m mod 12) + 1)
 
-(* An op is a merge (spliced into the live memo via note_write) or a
-   plain insert/delete (stamp miss, rescan).  The property: after every
+(* An op is a merge or a sequenced UPDATE/DELETE (spliced into the live
+   memo via note_write) or a plain insert/delete (stamp miss, rescan).  The property: after every
    op, the long-lived memo agrees pair-for-pair with a fresh memo that
    recomputes from scratch, and the memoized MAX query returns exactly
    the classic pipeline's rows. *)
@@ -328,6 +343,8 @@ type op =
   | Omerge of string * int * int * int (* sku, qty, from month, months *)
   | Oinsert of string * int * int * int
   | Odelete of string
+  | Oseq_update of string * int * int * int (* sku, qty, from month, months *)
+  | Oseq_delete of string * int * int (* sku, from month, months *)
 
 let gen_op =
   QCheck.Gen.(
@@ -341,6 +358,9 @@ let gen_op =
         (2, map (fun (s, q, m, n) -> Oinsert (s, q, m, n))
               (quad sku (int_range 0 99) month span));
         (1, map (fun s -> Odelete s) sku);
+        (2, map (fun (s, q, m, n) -> Oseq_update (s, q, m, n))
+              (quad sku (int_range 0 99) month span));
+        (1, map (fun (s, m, n) -> Oseq_delete (s, m, n)) (triple sku month span));
       ])
 
 let arb_ops =
@@ -376,6 +396,24 @@ let apply_op e = function
           (Engine.exec e
              (Printf.sprintf "DELETE FROM stock WHERE sku = '%s'" sku))
       with _ -> ())
+  | Oseq_update (sku, qty, m, n) ->
+      ignore
+        (Stratum.exec_sql e
+           (Printf.sprintf
+              "VALIDTIME [DATE '%s', DATE '%s') UPDATE stock SET qty = %d \
+               WHERE sku = '%s'"
+              (month_date m)
+              (month_date (m + n))
+              qty sku))
+  | Oseq_delete (sku, m, n) ->
+      ignore
+        (Stratum.exec_sql e
+           (Printf.sprintf
+              "VALIDTIME [DATE '%s', DATE '%s') DELETE FROM stock WHERE sku \
+               = '%s'"
+              (month_date m)
+              (month_date (m + n))
+              sku))
 
 let prop_incremental_equals_full ops =
   let e = stock_engine () in
@@ -522,6 +560,8 @@ let suite =
           test_ddl_invalidation;
         Alcotest.test_case "merge splices keep the memo warm" `Quick
           test_merge_keeps_memo_warm;
+        Alcotest.test_case "sequenced DML splices the memo" `Quick
+          test_sequenced_dml_splices_memo;
         Alcotest.test_case "calibration survives detach/recover/resume"
           `Quick test_calibration_survives_recovery;
         Alcotest.test_case "EXPLAIN prints the merge plan" `Quick

@@ -77,6 +77,34 @@ let test_sequenced_insert_sql () =
           "NONSEQUENCED VALIDTIME SELECT name, begin_time, end_time FROM \
            tariff WHERE name = 'promo'"))
 
+(* SET is evaluated against the pre-statement table: a subquery over
+   the target counts both stored rows for both keys, on a valid-time
+   table and on a bitemporal one, whatever order the rows are spliced
+   in. *)
+let test_set_sees_pre_statement_table () =
+  List.iter
+    (fun support ->
+      let e = Engine.create ~now:(d "2010-07-01") () in
+      Stratum.install e;
+      Engine.exec_script e
+        (Printf.sprintf
+           "CREATE TABLE t (k INTEGER, v INTEGER) WITH %s;\n\
+            INSERT INTO t (k, v, begin_time, end_time) VALUES (1, 10, DATE \
+            '2010-01-01', DATE '2010-12-01'), (2, 20, DATE '2010-01-01', \
+            DATE '2010-12-01')"
+           support);
+      ignore
+        (Stratum.exec_sql e
+           "VALIDTIME [DATE '2010-03-01', DATE '2010-04-01') UPDATE t SET v \
+            = (SELECT COUNT(*) FROM t)");
+      check_rows (support ^ ": both keys see two rows")
+        [ [ "1"; "2" ]; [ "2"; "2" ] ]
+        (rows_of
+           (Stratum.query e
+              "NONSEQUENCED VALIDTIME SELECT k, v FROM t WHERE begin_time = \
+               DATE '2010-03-01' ORDER BY k")))
+    [ "VALIDTIME"; "VALIDTIME AND TRANSACTIONTIME" ]
+
 (* ------------------------------------------------------------------ *)
 (* Bitemporal replay property                                          *)
 (* ------------------------------------------------------------------ *)
@@ -187,6 +215,8 @@ let suite =
           test_sequenced_update_sql;
         Alcotest.test_case "VALIDTIME INSERT statement" `Quick
           test_sequenced_insert_sql;
+        Alcotest.test_case "SET sees the pre-statement table" `Quick
+          test_set_sees_pre_statement_table;
         QCheck_alcotest.to_alcotest prop_bitemporal_replay;
       ] );
   ]
