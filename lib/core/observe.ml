@@ -273,9 +273,9 @@ let report_to_string ?(show_timings = true) (rp : report) : string =
         (List.length pl.Temporal_merge.pl_updates)
         (List.length pl.Temporal_merge.pl_deletes);
       capped "+" pl.Temporal_merge.pl_inserts row_str;
-      capped "~" pl.Temporal_merge.pl_updates (fun (old_row, new_row) ->
+      capped "~" pl.Temporal_merge.pl_updates (fun ((_, old_row), new_row) ->
           row_str old_row ^ " -> " ^ row_str new_row);
-      capped "-" pl.Temporal_merge.pl_deletes row_str
+      capped "-" pl.Temporal_merge.pl_deletes (fun (_, r) -> row_str r)
   | None, Some sql ->
       add "-- transformed SQL/PSM --";
       add "%s" sql

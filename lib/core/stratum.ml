@@ -449,7 +449,7 @@ let sequenced_splice (e : Engine.t) ~context tname ~sets where :
       in
       let inserts =
         List.concat_map
-          (fun row ->
+          (fun (_, row) ->
             let p = period row in
             let inside =
               match (set, Period.intersect p ctx) with

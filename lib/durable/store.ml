@@ -364,36 +364,19 @@ let init ?(policy = Wal.Batch 16) ?snapshot_every ?(obs = Trace.null)
   st
 
 (* Apply one replayed event to the recovering database.  Positional
-   delete/update records replay against the same row numbering the
-   original run saw, so no predicate re-evaluation is needed (or
-   possible — predicates are long gone). *)
+   delete/update records replay through the positional mutators against
+   the same row numbering the original run saw, so no predicate
+   re-evaluation is needed (or possible — predicates are long gone). *)
 let apply_event db ~on_ddl ev =
   match ev with
   | Wal_hook.Row_insert (tname, row) ->
       Table.insert (Database.find_table_exn db tname) row
   | Wal_hook.Rows_delete (tname, positions) ->
-      let t = Database.find_table_exn db tname in
-      let doomed = Hashtbl.create (Array.length positions) in
-      Array.iter (fun p -> Hashtbl.replace doomed p ()) positions;
-      let i = ref (-1) in
-      ignore
-        (Table.delete_where
-           (fun _ ->
-             incr i;
-             Hashtbl.mem doomed !i)
-           t)
+      Table.delete_at
+        (Database.find_table_exn db tname)
+        (Array.to_list positions)
   | Wal_hook.Rows_update (tname, pairs) ->
-      let t = Database.find_table_exn db tname in
-      let repl = Hashtbl.create (Array.length pairs) in
-      Array.iter (fun (p, row) -> Hashtbl.replace repl p row) pairs;
-      let i = ref (-1) in
-      ignore
-        (Table.update_where
-           (fun _ ->
-             incr i;
-             Hashtbl.mem repl !i)
-           (fun _ -> Hashtbl.find repl !i)
-           t)
+      Table.update_at (Database.find_table_exn db tname) (Array.to_list pairs)
   | Wal_hook.Table_clear tname -> Table.clear (Database.find_table_exn db tname)
   | Wal_hook.Table_create (sch, temp, rows) ->
       let t = Table.of_rows sch rows in

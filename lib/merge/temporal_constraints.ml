@@ -11,11 +11,15 @@
      union of the matching tt-current referenced rows' periods (the
      covers-without-gaps sweep of sql_saga).
 
-   Both checks probe the PR1 interval index (Table.overlapping), so a
-   single row costs O(log n + k) rather than a full scan.  The stratum
-   runs {!check_changed} at statement commit for arbitrary DML; the
-   merge engine runs the finer-grained {!check_written} over exactly
-   the rows it wrote and the windows it vacated. *)
+   Both checks work one key at a time: the rows of a key come from the
+   table's key index ({!Sqldb.Table.lookup}), their tt-current periods
+   are sorted once, and one sweep finds an overlap (PK) or a gap under a
+   referencing period (FK).  A key costs O(k log k) in its own rows,
+   however many other entities share its periods.  {!check_table}
+   runs the per-key checks over every key of a table; the stratum runs
+   it through {!check_changed} at statement commit for arbitrary DML.
+   The merge engine runs {!check_written} over exactly the keys it
+   wrote and the keys whose windows it vacated. *)
 
 open Sqldb
 module Catalog = Sqleval.Catalog
@@ -25,10 +29,6 @@ let lc = String.lowercase_ascii
 let violation ~period fmt =
   Taupsm_error.raise_error ?period Taupsm_error.Constraint_violation fmt
 
-(* Malformed timestamp cells count as current, so such rows are never
-   silently exempt from checking. *)
-let tt_current = Sqleval.Versions.tt_current
-
 let row_dates (row : Value.t array) ~bi ~ei =
   match (row.(bi), row.(ei)) with
   | Value.Date b, Value.Date e when b < e -> Some (b, e)
@@ -36,7 +36,6 @@ let row_dates (row : Value.t array) ~bi ~ei =
 
 let key_values idxs (row : Value.t array) = List.map (fun i -> row.(i)) idxs
 let has_null vs = List.exists (fun v -> v = Value.Null) vs
-let keys_equal a b = List.for_all2 Value.equal a b
 let key_string vs = String.concat ", " (List.map Value.to_string vs)
 
 let count cat name n =
@@ -44,199 +43,139 @@ let count cat name n =
   if Trace.enabled tr then Trace.count tr name n
 
 (* ------------------------------------------------------------------ *)
-(* TEMPORAL PRIMARY KEY: no-overlap per key                            *)
+(* Per-key checks                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Does [row] overlap another tt-current row of [t] with the same key?
-   Probes the interval index; rows with a NULL key column are exempt
-   (as in SQL, NULL never equals NULL for identification purposes). *)
-let check_pk_row (t : Table.t) ~key_idx (row : Value.t array) =
+(* A table with the columns every per-key check reads resolved once. *)
+type frame = {
+  table : Table.t;
+  bi : int;
+  ei : int;
+  current : Value.t array -> bool;  (* tt-current; malformed cells count *)
+}
+
+let frame (t : Table.t) =
   let schema = Table.schema t in
-  let bi = Schema.begin_index schema and ei = Schema.end_index schema in
-  match row_dates row ~bi ~ei with
-  | None -> ()
-  | Some (b, e) ->
-      let key = key_values key_idx row in
-      if not (has_null key) then
-        List.iter
-          (fun (c : Value.t array) ->
-            if c != row && tt_current schema c then
-              match row_dates c ~bi ~ei with
-              | Some (cb, ce)
-                when cb < e && ce > b && keys_equal key (key_values key_idx c)
-                ->
-                  violation
-                    ~period:(Some (max b cb, min e ce))
-                    "temporal primary key violation on %s: key (%s) has \
-                     overlapping periods"
-                    (Table.name t) (key_string key)
-              | _ -> ())
-          (Table.overlapping t ~bi ~ei ~begin_:b ~end_:e)
+  {
+    table = t;
+    bi = Schema.begin_index schema;
+    ei = Schema.end_index schema;
+    current = Sqleval.Versions.tt_current schema;
+  }
 
-(* ------------------------------------------------------------------ *)
-(* TEMPORAL FOREIGN KEY: coverage without gaps                         *)
-(* ------------------------------------------------------------------ *)
+(* The valid-time periods of the tt-current rows among [rows] — stored
+   rows as {!Table.lookup} returns them — sorted by begin; rows with
+   malformed or empty periods are skipped.  Every row is added to
+   [examined]. *)
+let periods ~examined f rows =
+  examined := !examined + List.length rows;
+  List.filter_map
+    (fun (_, row) ->
+      if f.current row then row_dates row ~bi:f.bi ~ei:f.ei else None)
+    rows
+  |> List.stable_sort (fun (a, _) (b, _) -> Date.compare a b)
 
-(* Is [b, e) covered without gaps by the tt-current rows of [rt] whose
-   [ref_idx] columns equal [key]?  Classic sweep over the overlapping
-   candidates sorted by begin (cf. sql_saga's covers_without_gaps.c). *)
-let covers_without_gaps (rt : Table.t) ~ref_idx ~key b e =
-  let rsch = Table.schema rt in
-  let bi = Schema.begin_index rsch and ei = Schema.end_index rsch in
-  let segs =
-    List.filter_map
-      (fun (c : Value.t array) ->
-        match row_dates c ~bi ~ei with
-        | Some (cb, ce)
-          when cb < e && ce > b && tt_current rsch c
-               && keys_equal key (key_values ref_idx c) ->
-            Some (cb, ce)
-        | _ -> None)
-      (Table.overlapping rt ~bi ~ei ~begin_:b ~end_:e)
-  in
-  let segs = List.sort (fun (a, _) (b, _) -> compare a b) segs in
-  let rec sweep cover = function
-    | _ when cover >= e -> true
-    | [] -> false
-    | (sb, se) :: rest -> if sb > cover then false else sweep (max cover se) rest
-  in
-  sweep b segs
+(* TEMPORAL PRIMARY KEY on one key, given the key's rows: sorted
+   adjacent periods must not intersect (if any two overlap, some
+   adjacent pair does).  Rows with a NULL key column are exempt: as in
+   SQL, NULL never identifies. *)
+let check_pk_key ~examined f (key, rows) =
+  if not (has_null key) then begin
+    let rec go = function
+      | (_, e1) :: ((b2, e2) :: _ as rest) ->
+          if b2 < e1 then
+            violation
+              ~period:(Some (b2, min e1 e2))
+              "temporal primary key violation on %s: key (%s) has \
+               overlapping periods"
+              (Table.name f.table) (key_string key)
+          else go rest
+      | _ -> ()
+    in
+    go (periods ~examined f rows)
+  end
 
-let check_fk_row cat (t : Table.t) ~fk (row : Value.t array) =
-  let fk_cols, ref_table, ref_cols = fk in
-  let schema = Table.schema t in
-  let bi = Schema.begin_index schema and ei = Schema.end_index schema in
-  match row_dates row ~bi ~ei with
-  | None -> ()
-  | Some (b, e) -> (
-      let fk_idx = List.map (Schema.column_index_exn schema) fk_cols in
-      let key = key_values fk_idx row in
-      if not (has_null key) then
-        match Database.find_table cat.Catalog.db ref_table with
+(* The union of periods sorted by begin, as maximal disjoint intervals
+   (touching periods join: [a, b) and [b, c) cover [a, c) without a
+   gap). *)
+let union sorted =
+  List.rev
+    (List.fold_left
+       (fun acc (b, e) ->
+         match acc with
+         | (ub, ue) :: rest when b <= ue -> (ub, max ue e) :: rest
+         | _ -> (b, e) :: acc)
+       [] sorted)
+  |> Array.of_list
+
+(* Is [b, e) inside one interval of [cover] (disjoint, ascending)? *)
+let covered cover b e =
+  let lo = ref 0 and hi = ref (Array.length cover) in
+  (* last interval beginning at or before [b] *)
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if fst cover.(mid) <= b then lo := mid + 1 else hi := mid
+  done;
+  !lo > 0 && snd cover.(!lo - 1) >= e
+
+(* The referenced side of [fk]: the referenced table's frame and key
+   columns, or None when that table does not exist. *)
+let referenced cat (_, ref_table, ref_cols) =
+  Option.map
+    (fun rt ->
+      (frame rt, List.map (Schema.column_index_exn (Table.schema rt)) ref_cols))
+    (Database.find_table cat.Catalog.db ref_table)
+
+(* TEMPORAL FOREIGN KEY on one key, given the referencing rows whose
+   [fk] columns equal [key]: every tt-current period among them must be
+   covered without gaps by the union of the referenced table's
+   tt-current periods of that key (the covers-without-gaps test of
+   sql_saga). *)
+let check_fk_key ~examined f ~fk ~referenced (key, rows) =
+  let _, ref_table, _ = fk in
+  if not (has_null key) then
+    match periods ~examined f rows with
+    | [] -> ()
+    | first :: _ as need -> (
+        match referenced with
         | None ->
-            violation ~period:(Some (b, e))
+            violation ~period:(Some first)
               "temporal foreign key violation on %s: referenced table %s \
                does not exist"
-              (Table.name t) ref_table
-        | Some rt ->
-            let ref_idx =
-              List.map (Schema.column_index_exn (Table.schema rt)) ref_cols
+              (Table.name f.table) ref_table
+        | Some (rf, cols) ->
+            let cover =
+              union (periods ~examined rf (Table.lookup rf.table ~cols key))
             in
-            if not (covers_without_gaps rt ~ref_idx ~key b e) then
-              violation ~period:(Some (b, e))
-                "temporal foreign key violation on %s: key (%s) not covered \
-                 by %s without gaps"
-                (Table.name t) (key_string key) ref_table)
+            List.iter
+              (fun (b, e) ->
+                if not (covered cover b e) then
+                  violation ~period:(Some (b, e))
+                    "temporal foreign key violation on %s: key (%s) not \
+                     covered by %s without gaps"
+                    (Table.name f.table) (key_string key) ref_table)
+              need)
 
-(* ------------------------------------------------------------------ *)
-(* Key-grouped bulk sweeps                                             *)
-(* ------------------------------------------------------------------ *)
+let fk_positions (t : Table.t) (fk_cols, _, _) =
+  List.map (Schema.column_index_exn (Table.schema t)) fk_cols
 
-(* The per-row interval-index probes above are ideal for small write
-   sets, but degrade to O(n^2) when many entities share the same
-   periods (every probe returns most of the table as candidates).  Bulk
-   checks instead group the tt-current periods by key once — O(n) — and
-   sweep each group sorted, which is O(n log n) regardless of overlap
-   structure. *)
-
-let group_key key = String.concat "\x00" (List.map Value.to_literal key)
-
-(* key-string -> (key, periods) for the tt-current rows of [t] *)
-let key_groups (t : Table.t) ~idx =
+(* The primary-key and outgoing foreign-key checks of [t], over the
+   (key, rows) groups [groups_of cols] gives for each constraint's
+   column positions. *)
+let check_keys cat ~examined (t : Table.t) groups_of =
   let schema = Table.schema t in
-  let bi = Schema.begin_index schema and ei = Schema.end_index schema in
-  let h : (string, Value.t list * (Date.t * Date.t) list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  Table.iter
-    (fun row ->
-      if tt_current schema row then
-        match row_dates row ~bi ~ei with
-        | None -> ()
-        | Some be ->
-            let key = key_values idx row in
-            if not (has_null key) then begin
-              let ks = group_key key in
-              let cell =
-                match Hashtbl.find_opt h ks with
-                | Some (_, c) -> c
-                | None ->
-                    let c = ref [] in
-                    Hashtbl.add h ks (key, c);
-                    c
-              in
-              cell := be :: !cell
-            end)
-    t;
-  h
-
-let sorted_periods cell =
-  List.sort (fun (a, _) (b, _) -> compare a b) !cell
-
-(* no-overlap per key: sorted adjacent pairs must not intersect *)
-let pk_sweep (t : Table.t) groups =
-  Hashtbl.iter
-    (fun _ (key, cell) ->
-      let rec go = function
-        | (_b1, e1) :: ((b2, _) :: _ as rest) ->
-            if b2 < e1 then
-              violation
-                ~period:(Some (b2, min e1 (snd (List.hd rest))))
-                "temporal primary key violation on %s: key (%s) has \
-                 overlapping periods"
-                (Table.name t) (key_string key)
-            else go rest
-        | _ -> ()
-      in
-      go (sorted_periods cell))
-    groups
-
-(* covers_without_gaps against a pre-grouped referenced table *)
-let covered_by_groups ref_groups ~key b e =
-  match Hashtbl.find_opt ref_groups (group_key key) with
-  | None -> false
-  | Some (_, cell) ->
-      let rec sweep cover = function
-        | _ when cover >= e -> true
-        | [] -> false
-        | (sb, se) :: rest ->
-            if sb > cover then false else sweep (max cover se) rest
-      in
-      sweep b (sorted_periods cell)
-
-let ref_groups_of cat ~fk =
-  let _, ref_table, ref_cols = fk in
-  match Database.find_table cat.Catalog.db ref_table with
-  | None -> None
-  | Some rt ->
-      let ref_idx =
-        List.map (Schema.column_index_exn (Table.schema rt)) ref_cols
-      in
-      Some (key_groups rt ~idx:ref_idx)
-
-(* bulk variant of {!check_fk_row}: same violations, grouped probe *)
-let check_fk_row_bulk (t : Table.t) ~fk ~ref_groups (row : Value.t array) =
-  let fk_cols, ref_table, _ = fk in
-  let schema = Table.schema t in
-  let bi = Schema.begin_index schema and ei = Schema.end_index schema in
-  match row_dates row ~bi ~ei with
-  | None -> ()
-  | Some (b, e) -> (
-      let fk_idx = List.map (Schema.column_index_exn schema) fk_cols in
-      let key = key_values fk_idx row in
-      if not (has_null key) then
-        match ref_groups with
-        | None ->
-            violation ~period:(Some (b, e))
-              "temporal foreign key violation on %s: referenced table %s \
-               does not exist"
-              (Table.name t) ref_table
-        | Some groups ->
-            if not (covered_by_groups groups ~key b e) then
-              violation ~period:(Some (b, e))
-                "temporal foreign key violation on %s: key (%s) not covered \
-                 by %s without gaps"
-                (Table.name t) (key_string key) ref_table)
+  let f = frame t in
+  Option.iter
+    (fun cols ->
+      let cols = List.map (Schema.column_index_exn schema) cols in
+      List.iter (check_pk_key ~examined f) (groups_of cols))
+    (Schema.temporal_pk schema);
+  List.iter
+    (fun fk ->
+      List.iter
+        (check_fk_key ~examined f ~fk ~referenced:(referenced cat fk))
+        (groups_of (fk_positions t fk)))
+    (Schema.temporal_fks schema)
 
 (* ------------------------------------------------------------------ *)
 (* Whole-table and whole-database checks                               *)
@@ -246,20 +185,7 @@ let check_table cat (t : Table.t) =
   let schema = Table.schema t in
   if schema.Schema.temporal && schema.Schema.constraints <> [] then begin
     count cat "constraint.table_checks" 1;
-    (match Schema.temporal_pk schema with
-    | None -> ()
-    | Some cols ->
-        let key_idx = List.map (Schema.column_index_exn schema) cols in
-        pk_sweep t (key_groups t ~idx:key_idx));
-    List.iter
-      (fun fk ->
-        let ref_groups = ref_groups_of cat ~fk in
-        Table.iter
-          (fun row ->
-            if tt_current schema row then
-              check_fk_row_bulk t ~fk ~ref_groups row)
-          t)
-      (Schema.temporal_fks schema)
+    check_keys cat ~examined:(ref 0) t (fun cols -> Table.groups t ~cols)
   end
 
 let all_tables db = Database.base_tables db @ Database.temp_tables db
@@ -306,74 +232,54 @@ let check_changed cat (snap : snapshot) =
 (* Incremental checking for the merge engine                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Above this many touched rows the per-row interval-index probes are
-   abandoned for the grouped sweeps: a probe's candidate list grows with
-   the number of co-overlapping entities, so large merges over entities
-   with aligned periods would otherwise go quadratic. *)
-let bulk_threshold = 16
+(* The distinct [cols] keys of [rows], in first-seen order. *)
+let distinct_keys cols rows =
+  let seen = Hashtbl.create 16 in
+  List.filter_map
+    (fun row ->
+      let key = key_values cols row in
+      let id = Table.key_id key in
+      if Hashtbl.mem seen id then None
+      else begin
+        Hashtbl.add seen id ();
+        Some key
+      end)
+    rows
+
+(* [keys] with their rows in [t] over [cols]. *)
+let looked_up (t : Table.t) cols keys =
+  List.map (fun key -> (key, Table.lookup t ~cols key)) keys
 
 let check_written cat (t : Table.t) ~written ~removed =
   let db = cat.Catalog.db in
   let schema = Table.schema t in
   if schema.Schema.temporal then begin
+    let examined = ref 0 in
     if written <> [] then begin
       count cat "constraint.incremental_rows" (List.length written);
-      let bulk = List.length written > bulk_threshold in
-      (match Schema.temporal_pk schema with
-      | None -> ()
-      | Some cols ->
-          let key_idx = List.map (Schema.column_index_exn schema) cols in
-          if bulk then pk_sweep t (key_groups t ~idx:key_idx)
-          else List.iter (check_pk_row t ~key_idx) written);
-      List.iter
-        (fun fk ->
-          if bulk then begin
-            let ref_groups = ref_groups_of cat ~fk in
-            List.iter (check_fk_row_bulk t ~fk ~ref_groups) written
-          end
-          else List.iter (check_fk_row cat t ~fk) written)
-        (Schema.temporal_fks schema)
+      check_keys cat ~examined t (fun cols ->
+          looked_up t cols (distinct_keys cols written))
     end;
     (* Removal may open a gap under a row of a table referencing this
-       one: re-check exactly the referencing rows overlapping a vacated
-       window. *)
+       one: re-check the referencing rows of exactly the vacated keys. *)
     if removed <> [] then begin
       let tname = lc (Table.name t) in
-      let bi = Schema.begin_index schema and ei = Schema.end_index schema in
-      let bulk = List.length removed > bulk_threshold in
       List.iter
         (fun (r : Table.t) ->
-          let rsch = Table.schema r in
           List.iter
-            (fun ((_, rt_name, _) as fk) ->
+            (fun ((_, rt_name, ref_cols) as fk) ->
               if lc rt_name = tname then
-                if bulk then begin
-                  (* many vacated windows: one grouped pass over the
-                     whole referencing table beats per-window probes *)
-                  let ref_groups = ref_groups_of cat ~fk in
-                  Table.iter
-                    (fun c ->
-                      if tt_current rsch c then
-                        check_fk_row_bulk r ~fk ~ref_groups c)
-                    r
-                end
-                else begin
-                  let rbi = Schema.begin_index rsch
-                  and rei = Schema.end_index rsch in
-                  List.iter
-                    (fun old_row ->
-                      match row_dates old_row ~bi ~ei with
-                      | None -> ()
-                      | Some (b, e) ->
-                          List.iter
-                            (fun c ->
-                              if tt_current rsch c then
-                                check_fk_row cat r ~fk c)
-                            (Table.overlapping r ~bi:rbi ~ei:rei ~begin_:b
-                               ~end_:e))
+                let vacated =
+                  distinct_keys
+                    (List.map (Schema.column_index_exn schema) ref_cols)
                     removed
-                end)
-            (Schema.temporal_fks rsch))
+                in
+                List.iter
+                  (check_fk_key ~examined (frame r) ~fk
+                     ~referenced:(referenced cat fk))
+                  (looked_up r (fk_positions r fk) vacated))
+            (Schema.temporal_fks (Table.schema r)))
         (all_tables db)
-    end
+    end;
+    count cat "merge.rows_examined" !examined
   end

@@ -13,9 +13,12 @@
       covers-without-gaps sweep of sql_saga).
 
     Rows with a [NULL] key column are exempt from both checks, as in
-    standard SQL.  All probes go through the interval index
-    ({!Sqldb.Table.overlapping}), so checking one row costs
-    O(log n + k) rather than a table scan.
+    standard SQL; key values are equal when their SQL literals are
+    ({!Sqldb.Table.key_id}).  Both checks run one key at a time: the
+    key's rows come from the table's key index ({!Sqldb.Table.lookup}),
+    and one sweep over their sorted tt-current periods decides it, so
+    checking a key costs O(k log k) in that key's rows rather than a
+    table scan.
 
     Violations raise {!Taupsm_error.Error} with code
     [Constraint_violation] and the offending valid-time period attached;
@@ -24,8 +27,8 @@
     unit. *)
 
 val check_table : Sqleval.Catalog.t -> Sqldb.Table.t -> unit
-(** Check every declared constraint of one table over all its current
-    rows.  No-op for tables without constraints. *)
+(** Check every declared constraint of one table: the per-key checks
+    over every key.  No-op for tables without constraints. *)
 
 type snapshot
 (** Cheap fingerprint of table versions, taken before a statement
@@ -48,7 +51,8 @@ val check_written :
   removed:Sqldb.Value.t array list ->
   unit
 (** Incremental check used by the merge engine, which knows exactly
-    which rows it wrote and which validity windows it vacated: each
-    written row is probed against the primary key and outgoing foreign
-    keys; for each removed row, the rows of referencing tables
-    overlapping the vacated window are re-checked for coverage. *)
+    which rows it wrote and which it removed or rewrote: each key of a
+    written row gets the primary-key and outgoing foreign-key checks;
+    each referenced key of a [removed] row gets the foreign-key check
+    on every table referencing this one.  Reads only those keys' rows,
+    and adds their number to the [merge.rows_examined] counter. *)

@@ -30,6 +30,14 @@ module Eval = Sqleval.Eval
 module RS = Sqleval.Result_set
 
 let lc = String.lowercase_ascii
+
+(* [merge.rows_examined]: stored rows read by planning and by the
+   incremental constraint checks — the write set's keys, never the
+   whole table. *)
+let count_examined cat n =
+  let tr = Catalog.trace cat in
+  if Trace.enabled tr then Trace.count tr "merge.rows_examined" n
+
 let sql_error fmt = Printf.ksprintf (fun m -> raise (Eval.Sql_error m)) fmt
 
 (* ------------------------------------------------------------------ *)
@@ -43,9 +51,9 @@ type plan = {
   pl_segments : int;  (* atomic segments examined *)
   pl_coalesced : int;  (* segments eliminated by coalescing *)
   pl_inserts : Value.t array list;
-  pl_updates : (Value.t array * Value.t array) list;
-      (* (physical stored row, replacement) — identical periods *)
-  pl_deletes : Value.t array list;  (* physical stored rows *)
+  pl_updates : ((int * Value.t array) * Value.t array) list;
+      (* ((position, stored row), replacement) — identical periods *)
+  pl_deletes : (int * Value.t array) list;  (* (position, stored row) *)
 }
 
 let plan_writes pl =
@@ -172,7 +180,6 @@ let plan (cat : Catalog.t) ~now ?(tt_mode = `Current) (m : Ast.merge_stmt) :
     Hashtbl.create 64
   in
   let order = ref [] in
-  let group_id key = String.concat "\x00" (List.map Value.to_literal key) in
   List.iter
     (fun (row : Value.t array) ->
       let date_at what p =
@@ -195,7 +202,7 @@ let plan (cat : Catalog.t) ~now ?(tt_mode = `Current) (m : Ast.merge_stmt) :
         | Some v -> v
         | None -> Value.Null)
       in
-      let id = group_id key in
+      let id = Table.key_id key in
       let cell =
         match Hashtbl.find_opt groups id with
         | Some (rows, _) -> rows
@@ -208,29 +215,15 @@ let plan (cat : Catalog.t) ~now ?(tt_mode = `Current) (m : Ast.merge_stmt) :
       cell := { s_begin; s_end; s_payload = payload } :: !cell)
     rs.RS.rows;
   let order = List.rev !order in
-  (* Collect the existing tt-current rows of every mentioned key. *)
-  let targets : (string, Value.t array list ref) Hashtbl.t =
-    Hashtbl.create 64
+  (* The existing tt-current rows of each source key come from the
+     target's key index, with their positions, in storage order. *)
+  let examined = ref 0 in
+  let current = Sqleval.Versions.tt_current schema in
+  let existing_rows key =
+    let rows = Table.lookup t ~cols:key_idx key in
+    examined := !examined + List.length rows;
+    List.filter (fun (_, row) -> current row) rows
   in
-  Table.iter
-    (fun row ->
-      if Sqleval.Versions.tt_current schema row then begin
-        let key = List.map (fun i -> row.(i)) key_idx in
-        if not (List.exists (fun v -> v = Value.Null) key) then
-          let id = group_id key in
-          if Hashtbl.mem groups id then begin
-            let cell =
-              match Hashtbl.find_opt targets id with
-              | Some c -> c
-              | None ->
-                  let c = ref [] in
-                  Hashtbl.add targets id c;
-                  c
-            in
-            cell := row :: !cell
-          end
-      end)
-    t;
   (* Per key: atomic segments -> mode payloads -> coalesce -> diff. *)
   let segments = ref 0 and coalesced = ref 0 in
   let inserts = ref [] and updates = ref [] and deletes = ref [] in
@@ -257,16 +250,12 @@ let plan (cat : Catalog.t) ~now ?(tt_mode = `Current) (m : Ast.merge_stmt) :
         | _ -> ()
       in
       overlap_check srows;
-      let existing =
-        match Hashtbl.find_opt targets id with
-        | Some c -> List.rev !c
-        | None -> []
-      in
+      let existing = existing_rows key in
       (* Atomic segment boundaries. *)
       let bounds =
         List.concat_map (fun s -> [ s.s_begin; s.s_end ]) srows
         @ List.concat_map
-            (fun (r : Value.t array) ->
+            (fun (_, (r : Value.t array)) ->
               match (r.(bi), r.(ei)) with
               | Value.Date b, Value.Date e -> [ b; e ]
               | _ -> [])
@@ -277,7 +266,7 @@ let plan (cat : Catalog.t) ~now ?(tt_mode = `Current) (m : Ast.merge_stmt) :
         (* With a temporal PK there is at most one; otherwise the last
            stored covering row wins (documented). *)
         List.fold_left
-          (fun acc (r : Value.t array) ->
+          (fun acc (_, (r : Value.t array)) ->
             match (r.(bi), r.(ei)) with
             | Value.Date rb, Value.Date re when rb <= b && b < re -> Some r
             | _ -> acc)
@@ -371,16 +360,18 @@ let plan (cat : Catalog.t) ~now ?(tt_mode = `Current) (m : Ast.merge_stmt) :
       List.iter
         (fun seg ->
           match
-            take (fun x -> same_period x seg && equal_modulo_ephemeral x seg)
+            take (fun (_, x) ->
+                same_period x seg && equal_modulo_ephemeral x seg)
           with
           | Some _ -> ()  (* unchanged (possibly modulo ephemeral): no write *)
           | None -> (
-              match take (fun x -> same_period x seg) with
+              match take (fun (_, x) -> same_period x seg) with
               | Some x -> updates := (x, seg) :: !updates
               | None -> inserts := seg :: !inserts))
         planned;
       deletes := List.rev_append !remaining !deletes)
     order;
+  count_examined cat !examined;
   {
     pl_target = Table.name t;
     pl_mode = m.Ast.m_mode;
@@ -425,10 +416,14 @@ let exec (cat : Catalog.t) ~now ?tt_mode (m : Ast.merge_stmt) :
   end;
   if cat.Catalog.options.Catalog.check_constraints then begin
     let t = Database.find_table_exn cat.Catalog.db pl.pl_target in
-    (* Written rows must satisfy the PK and outgoing FKs; vacated
-       windows may break incoming FKs. *)
+    (* Written rows must satisfy the PK and outgoing FKs; a deleted row
+       vacates its window, and so does an updated one under a KEY
+       clause that lets the merge rewrite a referenced column — either
+       may break incoming FKs. *)
     Temporal_constraints.check_written cat t
       ~written:(pl.pl_inserts @ List.map snd pl.pl_updates)
-      ~removed:pl.pl_deletes
+      ~removed:
+        (List.map snd pl.pl_deletes
+        @ List.map (fun ((_, old_row), _) -> old_row) pl.pl_updates)
   end;
   Eval.Affected n

@@ -31,11 +31,13 @@ type plan = {
   pl_segments : int;  (** atomic segments examined *)
   pl_coalesced : int;  (** segments eliminated by coalescing *)
   pl_inserts : Sqldb.Value.t array list;  (** rows to insert *)
-  pl_updates : (Sqldb.Value.t array * Sqldb.Value.t array) list;
-      (** (stored row, replacement) pairs with identical periods; the
-          first component is the physical array stored in the table *)
-  pl_deletes : Sqldb.Value.t array list;
-      (** physical stored rows whose validity the merge retracts *)
+  pl_updates : ((int * Sqldb.Value.t array) * Sqldb.Value.t array) list;
+      (** ((position, stored row), replacement) pairs with identical
+          periods; the stored row is the physical array at that storage
+          position *)
+  pl_deletes : (int * Sqldb.Value.t array) list;
+      (** (position, stored row) of the rows whose validity the merge
+          retracts *)
 }
 
 val plan_writes : plan -> int
@@ -48,7 +50,10 @@ val plan :
   Sqlast.Ast.merge_stmt ->
   plan
 (** Evaluate the source query and compute the merge plan without
-    touching the target table.  Raises {!Sqleval.Eval.Sql_error} on
+    touching the target table.  The stored rows of each source key come
+    from the target's key index ({!Sqldb.Table.lookup}), so planning
+    reads only the source's keys; their number is added to the
+    [merge.rows_examined] counter.  Raises {!Sqleval.Eval.Sql_error} on
     semantic errors: a non-temporal target, missing [begin_time] /
     [end_time] or key columns in the source, unknown or duplicate source
     columns, [NULL] key values, empty or overlapping source periods for

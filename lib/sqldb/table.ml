@@ -1,5 +1,7 @@
 (* In-memory table storage: a schema plus a growable vector of rows.
-   A row is a [Value.t array] positionally matching the schema. *)
+   A row is a [Value.t array] positionally matching the schema; a row's
+   position is its index in that vector, which is how the write-ahead
+   log names stored rows (see {!update_at} / {!delete_at}). *)
 
 type row = Value.t array
 
@@ -33,6 +35,23 @@ type row = Value.t array
      raises a typed internal error instead of corrupting every reader. *)
 type share = Live | Shared | Frozen
 
+(* [key_indexes]: for each requested column list, the key of every
+   stored row (see {!key_id}) maps to that key's storage positions,
+   ascending.  An index is built the first time something
+   asks for it ({!lookup}, {!groups}) and from then on every mutator
+   keeps it exact: [insert] appends the new position, the update paths
+   move a position whose key changed, the delete paths drop the removed
+   positions and renumber the rest, [clear] empties it.  Its
+   invariants under the other machinery:
+   - undo: a rollback restores the row vector wholesale and drops every
+     key index, so the next lookup rebuilds from the restored rows;
+   - copy-on-write: positions survive {!Vec.unshare}, so a [Shared]
+     table keeps its index;
+   - [freeze], [read_view] and [copy] start with an empty key-index
+     table of their own: the live table mutates its indexes in place,
+     so a snapshot must never share them. *)
+type slots = { mutable pos : int array; mutable n : int }
+
 type t = {
   schema : Schema.t;
   rows : row Vec.t;
@@ -44,6 +63,7 @@ type t = {
   mutable undo_full : bool;
   mutable wal : Wal_hook.t option;
   mutable share : share;
+  key_indexes : (int list, (string, slots) Hashtbl.t) Hashtbl.t;
 }
 
 let create schema =
@@ -58,6 +78,7 @@ let create schema =
     undo_full = false;
     wal = None;
     share = Live;
+    key_indexes = Hashtbl.create 1;
   }
 
 let set_observe t obs = t.obs <- obs
@@ -73,14 +94,19 @@ let set_wal t wal = t.wal <- wal
    snapshot restore first, newest-first, and the truncate second, which
    yields the original prefix).  Undo *bumps* [version] instead of
    restoring it so a rolled-back mutation can never revalidate a stale
-   interval index or cached plan. *)
+   interval index or cached plan, and drops the key indexes, which the
+   next lookup rebuilds from the restored rows. *)
 let log_undo t ~full =
   if Undo_log.is_active t.undo then begin
+    let undone () =
+      t.version <- t.version + 1;
+      Hashtbl.reset t.key_indexes
+    in
     let snapshot_entry () =
       let saved = Vec.snapshot t.rows in
       Undo_log.log t.undo (fun () ->
           Vec.restore t.rows saved;
-          t.version <- t.version + 1)
+          undone ())
     in
     let mark = Undo_log.serial t.undo in
     if t.undo_mark < mark then begin
@@ -91,7 +117,7 @@ let log_undo t ~full =
         let len = Vec.length t.rows in
         Undo_log.log t.undo (fun () ->
             Vec.truncate t.rows len;
-            t.version <- t.version + 1)
+            undone ())
       end
     end
     else if full && not t.undo_full then begin
@@ -132,73 +158,241 @@ let check_row t (r : row) =
       (Printf.sprintf "Table %s: row arity %d, expected %d" (name t)
          (Array.length r) expected)
 
+(* ------------------------------------------------------------------ *)
+(* Key indexes                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The identity of a key: values are equal as keys exactly when their
+   SQL literals are ([Int 1] and [Float 1.0] are different keys; NULL
+   is a key like any other, and callers that exempt NULL keys skip it
+   themselves). *)
+let key_id = function
+  | [ v ] -> Value.to_literal v
+  | vs -> String.concat "\x00" (List.map Value.to_literal vs)
+
+let row_key cols (r : row) = key_id (List.map (fun i -> r.(i)) cols)
+
+(* First index below [n] of the ascending [a] holding a value >= [p]. *)
+let lower_bound a n p =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) < p then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let slots_grow s =
+  if s.n = Array.length s.pos then begin
+    let a = Array.make (max 4 (2 * s.n)) 0 in
+    Array.blit s.pos 0 a 0 s.n;
+    s.pos <- a
+  end
+
+(* Insert position [p] keeping [s] ascending. *)
+let slots_insert s p =
+  slots_grow s;
+  let i = lower_bound s.pos s.n p in
+  Array.blit s.pos i s.pos (i + 1) (s.n - i);
+  s.pos.(i) <- p;
+  s.n <- s.n + 1
+
+let slots_remove s p =
+  let i = lower_bound s.pos s.n p in
+  if i < s.n && s.pos.(i) = p then begin
+    Array.blit s.pos (i + 1) s.pos i (s.n - i - 1);
+    s.n <- s.n - 1
+  end
+
+let index_add idx k p =
+  match Hashtbl.find_opt idx k with
+  | Some s -> slots_insert s p
+  | None -> Hashtbl.add idx k { pos = [| p |]; n = 1 }
+
+let index_remove idx k p =
+  match Hashtbl.find_opt idx k with
+  | Some s ->
+      slots_remove s p;
+      if s.n = 0 then Hashtbl.remove idx k
+  | None -> ()
+
+(* Renumber after a deletion: [moved.(p)] is the new position of old
+   position [p], or -1 if that row was removed. *)
+let index_renumber idx moved =
+  Hashtbl.filter_map_inplace
+    (fun _ s ->
+      let j = ref 0 in
+      for i = 0 to s.n - 1 do
+        let p = moved.(s.pos.(i)) in
+        if p >= 0 then begin
+          s.pos.(!j) <- p;
+          incr j
+        end
+      done;
+      s.n <- !j;
+      if s.n = 0 then None else Some s)
+    idx
+
+(* The key index over [cols], built on first use. *)
+let key_index t cols =
+  match Hashtbl.find_opt t.key_indexes cols with
+  | Some idx -> idx
+  | None ->
+      let idx = Hashtbl.create (max 16 (Vec.length t.rows / 2)) in
+      Vec.iteri (fun p r -> index_add idx (row_key cols r) p) t.rows;
+      Hashtbl.replace t.key_indexes cols idx;
+      if Trace.enabled t.obs then Trace.count t.obs "index.key_build" 1;
+      idx
+
+let slot_rows t s =
+  List.init s.n (fun i ->
+      let p = s.pos.(i) in
+      (p, Vec.get t.rows p))
+
+(* The stored rows whose [cols] equal [key] (see {!key_id}), with their
+   positions, in storage order. *)
+let lookup t ~cols key =
+  match Hashtbl.find_opt (key_index t cols) (key_id key) with
+  | None -> []
+  | Some s -> slot_rows t s
+
+(* Every distinct key over [cols] with its rows as {!lookup} returns
+   them, keys in the storage order of their first rows. *)
+let groups t ~cols =
+  Hashtbl.fold (fun _ s acc -> s :: acc) (key_index t cols) []
+  |> List.sort (fun a b -> Int.compare a.pos.(0) b.pos.(0))
+  |> List.map (fun s ->
+         let r = Vec.get t.rows s.pos.(0) in
+         (List.map (fun i -> r.(i)) cols, slot_rows t s))
+
+(* ------------------------------------------------------------------ *)
+(* Mutators                                                            *)
+(* ------------------------------------------------------------------ *)
+
 let insert t r =
   check_row t r;
   touch ~append:true t;
   (match t.wal with
   | None -> ()
   | Some w -> w.Wal_hook.emit (Wal_hook.Row_insert (name t, Array.copy r)));
-  Vec.push t.rows r
+  let p = Vec.length t.rows in
+  Vec.push t.rows r;
+  if Hashtbl.length t.key_indexes > 0 then
+    Hashtbl.iter
+      (fun cols idx -> index_add idx (row_key cols r) p)
+      t.key_indexes
 
 let iter f t = Vec.iter f t.rows
+let iteri f t = Vec.iteri f t.rows
 let fold f init t = Vec.fold_left f init t.rows
 let to_list t = Vec.to_list t.rows
+let get t p = Vec.get t.rows p
 
-(* Delete rows satisfying [p]; returns the number deleted.  With a WAL
-   hook attached the removed positions (pre-delete numbering) are
-   emitted, so recovery can replay the deletion positionally without
-   re-evaluating the predicate. *)
-let delete_where p t =
-  let before = Vec.length t.rows in
-  touch t;
-  (match t.wal with
-  | None -> Vec.filter_in_place (fun r -> not (p r)) t.rows
-  | Some w ->
-      let removed = ref [] in
-      let i = ref (-1) in
-      Vec.filter_in_place
-        (fun r ->
-          incr i;
-          let gone = p r in
-          if gone then removed := !i :: !removed;
-          not gone)
-        t.rows;
-      if !removed <> [] then
+let check_positions t what ps =
+  let len = Vec.length t.rows in
+  List.iter
+    (fun p ->
+      if p < 0 || p >= len then
+        Taupsm_error.raise_error Taupsm_error.Internal
+          "%s on %s: position %d out of range (%d rows)" what (name t) p len)
+    ps
+
+(* Replace the rows at the given positions (ascending, distinct) —
+   the common tail of every update path, after [touch].  With a WAL
+   hook attached the (position, new row) pairs are emitted; positions
+   are stable because updates never reorder the vector. *)
+let set_rows t pairs =
+  if pairs <> [] then begin
+    List.iter
+      (fun (p, r') ->
+        let r = Vec.get t.rows p in
+        Vec.set t.rows p r';
+        if Hashtbl.length t.key_indexes > 0 then
+          Hashtbl.iter
+            (fun cols idx ->
+              let k = row_key cols r and k' = row_key cols r' in
+              if k <> k' then begin
+                index_remove idx k p;
+                index_add idx k' p
+              end)
+            t.key_indexes)
+      pairs;
+    match t.wal with
+    | None -> ()
+    | Some w ->
         w.Wal_hook.emit
-          (Wal_hook.Rows_delete
-             (name t, Array.of_list (List.rev !removed))));
-  before - Vec.length t.rows
+          (Wal_hook.Rows_update
+             ( name t,
+               Array.of_list
+                 (List.map (fun (p, r') -> (p, Array.copy r')) pairs) ))
+  end
+
+(* Remove the rows at [gone] (ascending, distinct) — the common tail
+   of every delete path, after [touch].  With a WAL hook attached the
+   removed positions (pre-delete numbering) are emitted, so recovery
+   replays the deletion positionally. *)
+let remove_rows t gone =
+  if gone <> [] then begin
+    let gone = Array.of_list gone in
+    let len = Vec.length t.rows in
+    Vec.remove_sorted t.rows gone;
+    if Hashtbl.length t.key_indexes > 0 then begin
+      let moved = Array.make len (-1) and k = ref 0 in
+      for p = 0 to len - 1 do
+        if !k < Array.length gone && gone.(!k) = p then incr k
+        else moved.(p) <- p - !k
+      done;
+      Hashtbl.iter (fun _ idx -> index_renumber idx moved) t.key_indexes
+    end;
+    match t.wal with
+    | None -> ()
+    | Some w -> w.Wal_hook.emit (Wal_hook.Rows_delete (name t, gone))
+  end
+
+(* The positions of the rows satisfying [p], ascending.  Read-only: a
+   predicate that reads this table sees it whole. *)
+let positions_where p t =
+  let acc = ref [] in
+  Vec.iteri (fun i r -> if p r then acc := i :: !acc) t.rows;
+  List.rev !acc
+
+(* Replace the row at each position by its paired row.  Each position
+   at most once. *)
+let update_at t pairs =
+  check_positions t "update_at" (List.map fst pairs);
+  touch t;
+  set_rows t (List.sort (fun (a, _) (b, _) -> Int.compare a b) pairs)
+
+(* Remove the rows at the given positions (pre-delete numbering). *)
+let delete_at t positions =
+  check_positions t "delete_at" positions;
+  touch t;
+  remove_rows t (List.sort_uniq Int.compare positions)
+
+(* Delete rows satisfying [p]; returns the number deleted.  [p] sees
+   the table before any row is removed. *)
+let delete_where p t =
+  touch t;
+  let gone = positions_where p t in
+  remove_rows t gone;
+  List.length gone
 
 (* Update rows satisfying [p] with [f]; returns the number updated.
-   With a WAL hook attached the (position, new row) pairs are emitted;
-   positions are stable because updates never reorder the vector. *)
+   [p] and [f] see the table before any row is replaced. *)
 let update_where p f t =
-  let n = ref 0 in
   touch t;
-  let changed = ref [] in
-  let log = t.wal <> None in
-  Vec.iteri
-    (fun i r ->
-      if p r then begin
-        incr n;
-        let r' = f r in
-        if log then changed := (i, Array.copy r') :: !changed;
-        Vec.set t.rows i r'
-      end)
-    t.rows;
-  (match t.wal with
-  | Some w when !changed <> [] ->
-      w.Wal_hook.emit
-        (Wal_hook.Rows_update (name t, Array.of_list (List.rev !changed)))
-  | _ -> ());
-  !n
+  let pairs =
+    List.map (fun i -> (i, f (Vec.get t.rows i))) (positions_where p t)
+  in
+  set_rows t pairs;
+  List.length pairs
 
 let clear t =
   touch t;
   (match t.wal with
   | None -> ()
   | Some w -> w.Wal_hook.emit (Wal_hook.Table_clear (name t)));
-  Vec.clear t.rows
+  Vec.clear t.rows;
+  Hashtbl.iter (fun _ idx -> Hashtbl.reset idx) t.key_indexes
 
 let get_value t r cname = r.(Schema.column_index_exn t.schema cname)
 
@@ -223,7 +417,8 @@ let copy t =
    original — and the index cache is a private copy: already-built
    interval indexes (immutable once built) are shared, while any index a
    view builds lazily lands in its own table, never racing with siblings
-   reading the original's cache. *)
+   reading the original's cache.  Key indexes are mutable, so the view
+   starts with none. *)
 let read_view t =
   {
     schema = t.schema;
@@ -241,12 +436,14 @@ let read_view t =
        the original.  Mark it frozen too: read views are read-only by
        contract, and the typed error beats silent corruption. *)
     share = Frozen;
+    key_indexes = Hashtbl.create 1;
   }
 
 (* Publish an immutable snapshot of this table and switch the live table
    to copy-on-write.  The frozen record shares the current backing row
-   array and a copy of the index cache (already-built indexes are
-   immutable once built); the live table is marked [Shared] so its next
+   array and a copy of the interval-index cache (already-built interval
+   indexes are immutable once built) but no key index (the live table
+   maintains those in place); the live table is marked [Shared] so its next
    mutation privatizes the array first.  O(1) in the number of rows.
    The caller must establish a happens-before edge (e.g. an [Atomic.set]
    of the published catalog) before handing the frozen table to another
@@ -264,6 +461,7 @@ let freeze t =
       undo_full = false;
       wal = None;
       share = Frozen;
+      key_indexes = Hashtbl.create 1;
     }
   in
   (match t.share with Frozen -> () | Live | Shared -> t.share <- Shared);

@@ -1,5 +1,5 @@
 (* A minimal growable array, used for table row storage (OCaml 5.1 has no
-   stdlib Dynarray).  Indices are stable until a [filter_in_place]. *)
+   stdlib Dynarray).  Indices are stable until a [remove_sorted]. *)
 
 type 'a t = { mutable data : 'a array; mutable len : int }
 
@@ -59,15 +59,20 @@ let to_list v =
   let rec go i acc = if i < 0 then acc else go (i - 1) (v.data.(i) :: acc) in
   go (v.len - 1) []
 
-let filter_in_place p v =
-  let j = ref 0 in
-  for i = 0 to v.len - 1 do
-    if p v.data.(i) then begin
-      v.data.(!j) <- v.data.(i);
-      incr j
-    end
-  done;
-  v.len <- !j
+(* Remove the elements at [gone] (ascending, distinct, in range),
+   shifting the rest down. *)
+let remove_sorted v gone =
+  let g = Array.length gone in
+  if g > 0 then begin
+    let dst = ref gone.(0) in
+    for i = 0 to g - 1 do
+      let src = gone.(i) + 1 in
+      let stop = if i + 1 < g then gone.(i + 1) else v.len in
+      Array.blit v.data src v.data !dst (stop - src);
+      dst := !dst + (stop - src)
+    done;
+    v.len <- v.len - g
+  end
 
 let map_in_place f v =
   for i = 0 to v.len - 1 do

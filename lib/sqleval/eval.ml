@@ -2019,7 +2019,7 @@ and exec_update env tname sets where : exec_result =
            ones opened today) and stamps the new ones. *)
         let updates =
           List.map
-            (fun row -> (row, modified row))
+            (fun ((_, row) as stored) -> (stored, modified row))
             (Versions.current_rows t matches)
         in
         Versions.apply env.cat ~now:env.now t ~inserts:[] ~updates

@@ -13,8 +13,10 @@
 
    On a table without transaction time every version is "recorded
    today": updates rewrite in place and deletes remove.  Stored rows are
-   named by physical identity, so callers gather the write set in a
-   read-only pass over the pre-statement table and apply it in one go. *)
+   named by storage position (paired with the stored row itself), so
+   callers gather the write set in a read-only pass over the
+   pre-statement table — or from its key index — and apply it in one
+   go. *)
 
 module Value = Sqldb.Value
 module Date = Sqldb.Date
@@ -26,13 +28,14 @@ type row = Value.t array
 (* Is [row] the current version in transaction time?  Always true
    without transaction time.  A malformed tt_end cell counts as current,
    so such a row is never silently exempt from writes or constraint
-   checks. *)
-let tt_current schema (row : row) =
-  (not schema.Schema.transaction)
-  ||
-  match row.(Schema.tt_end_index schema) with
-  | Value.Date d -> d = Date.forever
-  | _ -> true
+   checks.  Applied to the schema alone it resolves the tt_end column
+   once, for callers testing many rows. *)
+let tt_current schema =
+  if not schema.Schema.transaction then fun (_ : row) -> true
+  else
+    let tt_end = Schema.tt_end_index schema in
+    fun (row : row) ->
+      match row.(tt_end) with Value.Date d -> d = Date.forever | _ -> true
 
 (* Stamp a new version [now, forever) in transaction time (no-op on a
    table without it). *)
@@ -42,30 +45,28 @@ let stamp schema ~now (row : row) =
     row.(Schema.tt_end_index schema) <- Value.Date Date.forever
   end
 
-(* The tt-current rows of [t] satisfying [p], in storage order. *)
+(* The tt-current rows of [t] satisfying [p] with their positions, in
+   storage order. *)
 let current_rows t p =
-  let schema = Table.schema t in
-  List.rev
-    (Table.fold
-       (fun acc row -> if tt_current schema row && p row then row :: acc else acc)
-       [] t)
-
-(* Stored rows keyed by physical identity: membership costs one hash of
-   the row, not a scan of the write set. *)
-module Phys = Hashtbl.Make (struct
-  type t = row
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
+  let current = tt_current (Table.schema t) in
+  let acc = ref [] in
+  Table.iteri
+    (fun i row -> if current row && p row then acc := (i, row) :: !acc)
+    t;
+  List.rev !acc
 
 (* Apply a write set to [t]: [inserts] are new versions, [updates] pair
-   a stored row with its replacement, [deletes] are stored rows whose
-   versions end.  Each stored row may appear at most once across
-   [updates] and [deletes].  The table sees the inserts first (together
-   with the replacements of closed versions), then one in-place pass
-   for rewrites and closes, then one removal pass — so undo journaling,
-   WAL events and crash recovery come from the ordinary mutators.
+   a stored row — [(position, row)] as read from [t] — with its
+   replacement, [deletes] are stored rows whose versions end.  Each
+   position may appear at most once across [updates] and [deletes].
+   The table sees the inserts first (together with the replacements of
+   closed versions; appending leaves every stored position in place),
+   then one {!Table.update_at} for rewrites and closes, then one
+   {!Table.delete_at} — so undo journaling, WAL events and crash
+   recovery come from the ordinary mutators, and each pass touches only
+   the write set.  A position whose stored row is no longer the one the
+   caller read raises a typed internal error before anything is
+   written.
 
    On a base table without transaction time the valid-time boundary
    points the write set adds and removes are spliced into the catalog's
@@ -78,6 +79,14 @@ let apply (cat : Catalog.t) ~now t ~inserts ~updates ~deletes =
   let schema = Table.schema t in
   let transactional = schema.Schema.transaction in
   let version_before = t.Table.version in
+  let stored (p, (row : row)) =
+    if p < 0 || p >= Table.row_count t || Table.get t p != row then
+      Taupsm_error.raise_error Taupsm_error.Internal
+        "versioned write on %s: stored row at position %d has moved"
+        (Table.name t) p
+  in
+  List.iter (fun (old, _) -> stored old) updates;
+  List.iter stored deletes;
   let closes (row : row) =
     transactional
     && not (Value.equal row.(Schema.tt_begin_index schema) (Value.Date now))
@@ -87,25 +96,25 @@ let apply (cat : Catalog.t) ~now t ~inserts ~updates ~deletes =
     closed.(Schema.tt_end_index schema) <- Value.Date now;
     closed
   in
-  let rewrite = Phys.create 16 and remove = Phys.create 16 in
+  let rewrite = ref [] and remove = ref [] in
   let reopened =
     List.filter_map
-      (fun (old_row, replacement) ->
+      (fun ((p, old_row), replacement) ->
         if closes old_row then begin
-          Phys.replace rewrite old_row (close old_row);
+          rewrite := (p, close old_row) :: !rewrite;
           Some replacement
         end
         else begin
           stamp schema ~now replacement;
-          Phys.replace rewrite old_row replacement;
+          rewrite := (p, replacement) :: !rewrite;
           None
         end)
       updates
   in
   List.iter
-    (fun old_row ->
-      if closes old_row then Phys.replace rewrite old_row (close old_row)
-      else Phys.replace remove old_row ())
+    (fun (p, old_row) ->
+      if closes old_row then rewrite := (p, close old_row) :: !rewrite
+      else remove := p :: !remove)
     deletes;
   for _ = 1 to List.length inserts + List.length updates + List.length deletes do
     Fault.hit Fault.Period_slice
@@ -115,10 +124,8 @@ let apply (cat : Catalog.t) ~now t ~inserts ~updates ~deletes =
       stamp schema ~now row;
       Table.insert t row)
     (inserts @ reopened);
-  if Phys.length rewrite > 0 then
-    ignore (Table.update_where (Phys.mem rewrite) (Phys.find rewrite) t);
-  if Phys.length remove > 0 then
-    ignore (Table.delete_where (Phys.mem remove) t);
+  if !rewrite <> [] then Table.update_at t !rewrite;
+  if !remove <> [] then Table.delete_at t !remove;
   let memoized =
     (not transactional)
     &&
@@ -141,5 +148,7 @@ let apply (cat : Catalog.t) ~now t ~inserts ~updates ~deletes =
     Cp_memo.note_write cat.Catalog.cp_memo ~table:(Table.name t)
       ~from_version:version_before ~to_version:t.Table.version
       ~added:(points (inserts @ List.map snd updates))
-      ~removed:(points (deletes @ List.map fst updates))
+      ~removed:
+        (points
+           (List.map snd deletes @ List.map (fun ((_, r), _) -> r) updates))
   end

@@ -380,10 +380,13 @@ let apply_op e = function
               (month_date (m + n))))
   | Oinsert (sku, qty, m, n) -> (
       (* a current insert may violate the temporal key; treat a
-         violation as a no-op — the stream just moves on *)
+         violation as a no-op — the stream just moves on.  It goes
+         through the stratum, whose check rolls a violating insert
+         back: unchecked, the overlap would stay behind and fail a
+         later statement's whole-table check. *)
       try
         ignore
-          (Engine.exec e
+          (Stratum.exec_sql e
              (Printf.sprintf
                 "INSERT INTO stock (sku, qty, begin_time, end_time) VALUES \
                  ('%s-%d', %d, DATE '%s', DATE '%s')"

@@ -1,6 +1,7 @@
 (* Interval-index tests: the qcheck equivalence property against a
-   naive filter, edge cases, and the evaluator-level ablation — with
-   the index on and off, sequenced evaluation must produce identical
+   naive filter, the key index's maintenance property against a
+   from-scratch grouping, edge cases, and the evaluator-level ablation —
+   with the index on and off, sequenced evaluation must produce identical
    results under both MAX and PERST.  Also pins the stratum's
    transformed-plan cache: physical reuse across executions and
    invalidation on DDL. *)
@@ -8,6 +9,9 @@
 module II = Sqldb.Interval_index
 module Date = Sqldb.Date
 module Value = Sqldb.Value
+module Schema = Sqldb.Schema
+module Table = Sqldb.Table
+module Database = Sqldb.Database
 module Engine = Sqleval.Engine
 module Catalog = Sqleval.Catalog
 module RS = Sqleval.Result_set
@@ -60,6 +64,187 @@ let prop_matches_naive (items, pb, plen) =
   let pe = pb + plen in
   II.overlapping idx ~begin_:pb ~end_:pe = naive items ~begin_:pb ~end_:pe
 
+(* ------------------------------------------------------------------ *)
+(* Property: maintained key index = from-scratch grouping              *)
+(* ------------------------------------------------------------------ *)
+
+(* Rows are (k1, k2, v); the key columns mix NULL, integers, floats,
+   strings that spell other literals, dates and booleans, so key
+   identity must follow the SQL literal ([1], [1.0] and ['1'] are three
+   keys). *)
+let gen_key_value =
+  QCheck.Gen.oneofl
+    [
+      Value.Null; Value.Int 0; Value.Int 1; Value.Float 1.0; Value.Str "1";
+      Value.Str "NULL"; Value.Str "a'b"; Value.Date 0; Value.Bool true;
+    ]
+
+type key_op =
+  | Ins of Value.t * Value.t * int
+  | Upd_where of int * Value.t * Value.t
+      (* rows with v mod 3 = m get a new key *)
+  | Del_where of int  (* rows with v mod 4 = m *)
+  | Upd_at of int list * Value.t * Value.t  (* positions, taken mod row count *)
+  | Del_at of int list
+  | Clear
+  | Rolled_back of key_op list  (* inside Database.with_atomic, then raise *)
+  | Freeze_then of key_op  (* freeze, then mutate the live table *)
+
+let rec key_op_to_string = function
+  | Ins (a, b, v) ->
+      Printf.sprintf "ins(%s,%s,%d)" (Value.to_literal a) (Value.to_literal b) v
+  | Upd_where (m, a, b) ->
+      Printf.sprintf "upd_where(%d->%s,%s)" m (Value.to_literal a)
+        (Value.to_literal b)
+  | Del_where m -> Printf.sprintf "del_where(%d)" m
+  | Upd_at (ps, a, b) ->
+      Printf.sprintf "upd_at([%s]->%s,%s)"
+        (String.concat ";" (List.map string_of_int ps))
+        (Value.to_literal a) (Value.to_literal b)
+  | Del_at ps ->
+      Printf.sprintf "del_at([%s])"
+        (String.concat ";" (List.map string_of_int ps))
+  | Clear -> "clear"
+  | Rolled_back ops ->
+      "rollback[" ^ String.concat " " (List.map key_op_to_string ops) ^ "]"
+  | Freeze_then op -> "freeze;" ^ key_op_to_string op
+
+let gen_key_ops =
+  let open QCheck.Gen in
+  let positions = list_size (int_range 1 4) (int_range 0 1000) in
+  let kv = gen_key_value in
+  let plain =
+    frequency
+      [
+        (8, map3 (fun a b v -> Ins (a, b, v)) kv kv (int_range 0 99));
+        (2, map3 (fun m a b -> Upd_where (m, a, b)) (int_range 0 2) kv kv);
+        (2, map (fun m -> Del_where m) (int_range 0 3));
+        (2, map3 (fun ps a b -> Upd_at (ps, a, b)) positions kv kv);
+        (2, map (fun ps -> Del_at ps) positions);
+        (1, return Clear);
+      ]
+  in
+  let rolled_back = map (fun ops -> Rolled_back ops) in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         (12, plain);
+         (2, rolled_back (list_size (int_range 1 4) plain));
+         (2, map (fun op -> Freeze_then op) plain);
+       ])
+
+let key_cols = [ [ 0 ]; [ 0; 1 ]; [ 1 ] ]
+
+(* Key identity as merge planning and constraint checking have always
+   grouped rows: by SQL literal. *)
+let literal_id key = String.concat "\x00" (List.map Value.to_literal key)
+
+(* From scratch: key id -> ascending positions, keys in order of first
+   position. *)
+let grouping rows cols =
+  let h = Hashtbl.create 16 and order = ref [] in
+  List.iteri
+    (fun p (r : Value.t array) ->
+      let key = List.map (fun i -> r.(i)) cols in
+      let id = literal_id key in
+      match Hashtbl.find_opt h id with
+      | Some (k, ps) -> Hashtbl.replace h id (k, p :: ps)
+      | None ->
+          Hashtbl.add h id (key, [ p ]);
+          order := id :: !order)
+    rows;
+  List.rev_map
+    (fun id ->
+      let key, ps = Hashtbl.find h id in
+      (key, List.rev ps))
+    !order
+
+(* Every key's lookup returns exactly its rows, physically, with their
+   positions, and the index holds no other key. *)
+let index_matches what t =
+  let rows = Table.to_list t in
+  List.iter
+    (fun cols ->
+      let expected = grouping rows cols in
+      let ids ks = List.map literal_id ks in
+      if ids (List.map fst (Table.groups t ~cols)) <> ids (List.map fst expected)
+      then
+        QCheck.Test.fail_reportf "%s: keys differ over cols [%s]" what
+          (String.concat ";" (List.map string_of_int cols));
+      List.iter
+        (fun (key, ps) ->
+          let got = Table.lookup t ~cols key in
+          let same (p, r) p' = p = p' && r == List.nth rows p' in
+          if List.map fst got <> ps || not (List.for_all2 same got ps) then
+            QCheck.Test.fail_reportf "%s: lookup (%s) over cols [%s] is wrong"
+              what (literal_id key)
+              (String.concat ";" (List.map string_of_int cols)))
+        expected)
+    key_cols
+
+let prop_key_index_maintained ops =
+  let db = Database.create () in
+  let schema =
+    Schema.make ~name:"k" ~temporal:false
+      ~columns:
+        [
+          Schema.column ~name:"k1" ~ty:Value.Tstring;
+          Schema.column ~name:"k2" ~ty:Value.Tstring;
+          Schema.column ~name:"v" ~ty:Value.Tint;
+        ]
+      ()
+  in
+  let t = Table.create schema in
+  Database.add_table db t;
+  let v_of (r : Value.t array) = match r.(2) with Value.Int v -> v | _ -> 0 in
+  let rekey a b (r : Value.t array) = [| a; b; r.(2) |] in
+  let frozen = ref [] in
+  let rec run = function
+    | Ins (a, b, v) -> Table.insert t [| a; b; Value.Int v |]
+    | Upd_where (m, a, b) ->
+        ignore (Table.update_where (fun r -> v_of r mod 3 = m) (rekey a b) t)
+    | Del_where m -> ignore (Table.delete_where (fun r -> v_of r mod 4 = m) t)
+    | Upd_at (ps, a, b) ->
+        let n = Table.row_count t in
+        if n > 0 then
+          let ps = List.sort_uniq compare (List.map (fun p -> p mod n) ps) in
+          Table.update_at t
+            (List.map (fun p -> (p, rekey a b (Table.get t p))) ps)
+    | Del_at ps ->
+        let n = Table.row_count t in
+        if n > 0 then Table.delete_at t (List.map (fun p -> p mod n) ps)
+    | Clear -> Table.clear t
+    | Rolled_back ops -> (
+        try
+          Database.with_atomic db (fun () ->
+              List.iter run ops;
+              raise Exit)
+        with Exit -> ())
+    | Freeze_then op ->
+        let fr = Table.freeze t in
+        frozen := (fr, Table.to_list fr) :: !frozen;
+        run op
+  in
+  List.iteri
+    (fun i op ->
+      let before = Table.to_list t in
+      run op;
+      (match op with
+      | Rolled_back _ ->
+          if Table.to_list t <> before then
+            QCheck.Test.fail_reportf "step %d: rollback changed the rows" i
+      | _ -> ());
+      let what = Printf.sprintf "step %d (%s)" i (key_op_to_string op) in
+      index_matches what t;
+      List.iter
+        (fun (fr, rows) ->
+          if Table.to_list fr <> rows then
+            QCheck.Test.fail_reportf "%s: a frozen copy changed" what;
+          index_matches (what ^ ", frozen copy") fr)
+        !frozen)
+    ops;
+  true
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -71,6 +256,10 @@ let qcheck_tests =
           let items = List.mapi (fun i it -> (i, it)) items in
           let idx = II.build ~extract:snd (Array.of_list items) in
           II.stabbing idx ~at = naive items ~begin_:at ~end_:(at + 1));
+      QCheck.Test.make ~count:300 ~name:"maintained key index = fresh grouping"
+        (QCheck.make gen_key_ops ~print:(fun ops ->
+             String.concat " " (List.map key_op_to_string ops)))
+        prop_key_index_maintained;
     ]
 
 (* ------------------------------------------------------------------ *)

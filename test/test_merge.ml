@@ -475,6 +475,323 @@ let prop_replace_snapshotwise (tgt_cells, src_cells) =
         [ 0; 1; 2; 3; 4; 5 ])
     [ "a"; "b" ]
 
+(* ------------------------------------------------------------------ *)
+(* Property: constraint checks = a naive reference over current rows  *)
+(* ------------------------------------------------------------------ *)
+
+(* A parent table keyed on [k] and a child keyed on [c] whose [pk]
+   references it, optionally bitemporal.  Every statement runs twice:
+   on a copy with constraint checking off, where an O(n^2) reference
+   check over the tt-current rows decides whether the result violates a
+   key, and on the engine itself, which must raise Constraint_violation
+   exactly then — leaving an empty db_diff — and otherwise reach the
+   copy's state. *)
+let gen_period =
+  QCheck.Gen.(
+    map2 (fun m len -> (m, m + len)) (int_range 0 12) (int_range 1 6))
+
+let gen_constraint_stmt =
+  let open QCheck.Gen in
+  let key = int_range 0 4 in
+  let fk = frequency [ (6, map string_of_int key); (1, return "NULL") ] in
+  let period_lit (m1, m2) =
+    Printf.sprintf "DATE '%s', DATE '%s'" (month_date m1) (month_date m2)
+  in
+  let context (m1, m2) =
+    Printf.sprintf "VALIDTIME [DATE '%s', DATE '%s')" (month_date m1)
+      (month_date m2)
+  in
+  let mode = oneofl [ "UPSERT"; "PATCH"; "REPLACE" ] in
+  let distinct_rows gen =
+    map
+      (fun rows ->
+        List.fold_left
+          (fun acc ((k, _, _) as r) ->
+            if List.exists (fun (k', _, _) -> k' = k) acc then acc
+            else r :: acc)
+          [] rows)
+      (list_size (int_range 1 4) gen)
+  in
+  let src_select (b, e) cols =
+    Printf.sprintf "SELECT %s, DATE '%s' AS begin_time, DATE '%s' AS end_time"
+      cols (month_date b) (month_date e)
+  in
+  oneof
+    [
+      map2
+        (fun rows mode ->
+          Printf.sprintf "TEMPORAL MERGE INTO parent USING (%s) MODE %s"
+            (String.concat " UNION ALL "
+               (List.map
+                  (fun (k, n, p) ->
+                    src_select p (Printf.sprintf "%d AS k, 'n%d' AS name" k n))
+                  rows))
+            mode)
+        (distinct_rows (triple key (int_range 0 9) gen_period))
+        mode;
+      (* keyed on the name, so an update may move a row to another [k]
+         and vacate the old key's window under its children *)
+      map
+        (fun rows ->
+          Printf.sprintf
+            "TEMPORAL MERGE INTO parent USING (%s) MODE UPSERT KEY (name)"
+            (String.concat " UNION ALL "
+               (List.map
+                  (fun (n, k, p) ->
+                    src_select p (Printf.sprintf "'%s' AS name, %d AS k" n k))
+                  rows)))
+        (distinct_rows
+           (triple (oneofl [ "a"; "b"; "c" ]) key
+              (frequency
+                 [
+                   (1, return (0, 12)); (1, return (0, 6)); (1, gen_period);
+                 ])));
+      map2
+        (fun rows mode ->
+          Printf.sprintf "TEMPORAL MERGE INTO child USING (%s) MODE %s"
+            (String.concat " UNION ALL "
+               (List.map
+                  (fun (c, pk, p) ->
+                    src_select p
+                      (Printf.sprintf "%d AS c, %s AS pk, 1 AS qty" c pk))
+                  rows))
+            mode)
+        (distinct_rows (triple key fk gen_period))
+        mode;
+      map2
+        (fun k p ->
+          Printf.sprintf
+            "INSERT INTO parent (k, name, begin_time, end_time) VALUES (%d, \
+             'i', %s)"
+            k (period_lit p))
+        key gen_period;
+      map3
+        (fun c pk p ->
+          Printf.sprintf
+            "INSERT INTO child (c, pk, qty, begin_time, end_time) VALUES \
+             (%d, %s, 2, %s)"
+            c pk (period_lit p))
+        key fk gen_period;
+      map (Printf.sprintf "DELETE FROM parent WHERE k = %d") key;
+      map2
+        (fun p k ->
+          Printf.sprintf "%s DELETE FROM parent WHERE k = %d" (context p) k)
+        gen_period key;
+      map2 (Printf.sprintf "UPDATE child SET pk = %s WHERE c = %d") fk key;
+      map3
+        (fun p k k' ->
+          Printf.sprintf "%s UPDATE parent SET k = %d WHERE k = %d"
+            (context p) k' k)
+        gen_period key key;
+      return "TICK";
+    ]
+
+let arb_constraint_case =
+  QCheck.make
+    QCheck.Gen.(pair bool (list_size (int_range 1 14) gen_constraint_stmt))
+    ~print:(fun (bitemporal, stmts) ->
+      Printf.sprintf "bitemporal=%b\n%s" bitemporal (String.concat ";\n" stmts))
+
+(* The reference: every pair of current parent rows and every pair of
+   current child rows with one non-NULL key must not overlap, and every
+   current child period with a non-NULL [pk] must be covered by the
+   union of the matching current parent periods. *)
+let naive_violation db =
+  let current name =
+    let t = Database.find_table_exn db name in
+    let sch = Table.schema t in
+    let bi = Sqldb.Schema.begin_index sch and ei = Sqldb.Schema.end_index sch in
+    List.filter_map
+      (fun (r : Value.t array) ->
+        match (r.(bi), r.(ei)) with
+        | Value.Date b, Value.Date e
+          when b < e && Sqleval.Versions.tt_current sch r ->
+            Some (r, b, e)
+        | _ -> None)
+      (Table.to_list t)
+  in
+  let parents = current "parent" and children = current "child" in
+  let overlap col rows =
+    List.exists
+      (fun (r1, b1, e1) ->
+        List.exists
+          (fun (r2, b2, e2) ->
+            r1 != r2 && r1.(col) <> Value.Null
+            && Value.to_literal r1.(col) = Value.to_literal r2.(col)
+            && b1 < e2 && b2 < e1)
+          rows)
+      rows
+  in
+  let covered key b e =
+    let rec reach cover =
+      cover >= e
+      ||
+      match
+        List.find_opt
+          (fun (r, pb, pe) ->
+            Value.to_literal r.(0) = key && pb <= cover && cover < pe)
+          parents
+      with
+      | Some (_, _, pe) -> reach pe
+      | None -> false
+    in
+    reach b
+  in
+  overlap 0 parents || overlap 0 children
+  || List.exists
+       (fun (r, b, e) ->
+         r.(1) <> Value.Null && not (covered (Value.to_literal r.(1)) b e))
+       children
+
+let prop_constraints_match_reference (bitemporal, stmts) =
+  let e = Engine.create ~now:(d "2024-06-01") () in
+  Stratum.install e;
+  let tt = if bitemporal then " AND TRANSACTIONTIME" else "" in
+  Engine.exec_script e
+    (Printf.sprintf
+       "CREATE TABLE parent (k INT, name VARCHAR(10)) WITH VALIDTIME%s \
+        TEMPORAL PRIMARY KEY (k);\n\
+        CREATE TABLE child (c INT, pk INT, qty INT) WITH VALIDTIME%s \
+        TEMPORAL PRIMARY KEY (c) TEMPORAL FOREIGN KEY (pk) REFERENCES \
+        parent (k);\n\
+        INSERT INTO parent (k, name, begin_time, end_time) VALUES (0, 'a', \
+        DATE '2024-01-01', DATE '2025-01-01'), (1, 'b', DATE '2024-01-01', \
+        DATE '2024-07-01'), (2, 'c', DATE '2024-03-01', DATE '9999-12-31');\n\
+        INSERT INTO child (c, pk, qty, begin_time, end_time) VALUES (0, 0, \
+        1, DATE '2024-02-01', DATE '2024-06-01'), (1, 1, 1, DATE \
+        '2024-01-01', DATE '2024-07-01'), (2, NULL, 1, DATE '2024-01-01', \
+        DATE '2024-02-01')"
+       tt tt);
+  List.iteri
+    (fun i sql ->
+      if sql = "TICK" then Engine.set_now e (Date.add_days (Engine.now e) 1)
+      else begin
+        let db = Engine.database e in
+        let pre = Database.copy db in
+        let shadow = Engine.copy e in
+        (Engine.catalog shadow).Sqleval.Catalog.options
+          .Sqleval.Catalog.check_constraints <- false;
+        let fail fmt =
+          QCheck.Test.fail_reportf ("stmt %d (%s): " ^^ fmt) i sql
+        in
+        match Stratum.exec_sql shadow sql with
+        | exception _ -> (
+            (* rejected for reasons of its own: the engine must reject it
+               too, and cleanly *)
+            match Stratum.exec_sql e sql with
+            | _ -> fail "accepted only with constraint checks on"
+            | exception _ -> (
+                match Resilient.db_diff pre db with
+                | None -> ()
+                | Some diff -> fail "failed statement left %s" diff))
+        | _ -> (
+            let expected = naive_violation (Engine.database shadow) in
+            match Stratum.exec_sql e sql with
+            | _ -> (
+                if expected then fail "violation not detected";
+                match Resilient.db_diff (Engine.database shadow) db with
+                | None -> ()
+                | Some diff -> fail "differs from the unchecked run: %s" diff)
+            | exception TE.Error { code = TE.Constraint_violation; _ } -> (
+                if not expected then fail "spurious violation";
+                match Resilient.db_diff pre db with
+                | None -> ()
+                | Some diff -> fail "violation left %s" diff)
+            | exception exn -> fail "raised %s" (Printexc.to_string exn))
+      end)
+    stmts;
+  true
+
+(* ------------------------------------------------------------------ *)
+(* Cost by count: merge work follows the write set, not the table      *)
+(* ------------------------------------------------------------------ *)
+
+let sku i = Printf.sprintf "sku%04d" i
+
+(* [n] products, each with two stock periods, and a traced engine. *)
+let product_stock ?(stock_end = "2011-01-01") n =
+  let e = Engine.create ~now:(d "2024-06-01") () in
+  Stratum.install e;
+  let values f = String.concat ", " (List.init n f) in
+  Engine.exec_script e
+    ("CREATE TABLE product (sku VARCHAR(10), name VARCHAR(30)) WITH \
+      VALIDTIME TEMPORAL PRIMARY KEY (sku);\n\
+      CREATE TABLE stock (sku VARCHAR(10), qty INT) WITH VALIDTIME \
+      TEMPORAL PRIMARY KEY (sku) TEMPORAL FOREIGN KEY (sku) REFERENCES \
+      product (sku);\n\
+      INSERT INTO product (sku, name, begin_time, end_time) VALUES "
+    ^ values (fun i ->
+          Printf.sprintf "('%s', 'P', DATE '2010-01-01', DATE '9999-12-31')"
+            (sku i))
+    ^ ";\nINSERT INTO stock (sku, qty, begin_time, end_time) VALUES "
+    ^ values (fun i ->
+          Printf.sprintf
+            "('%s', %d, DATE '2010-01-01', DATE '%s'), ('%s', %d, DATE \
+             '%s', DATE '9999-12-31')"
+            (sku i) (i mod 10) stock_end (sku i) (10 + (i mod 7)) stock_end));
+  let cat = Engine.catalog e in
+  cat.Sqleval.Catalog.options.Sqleval.Catalog.observe <- true;
+  e
+
+let traced_merge e sql =
+  let tr = Sqleval.Catalog.trace (Engine.catalog e) in
+  Trace.reset tr;
+  ignore (Stratum.exec_sql e sql);
+  let c name =
+    Option.value ~default:0 (List.assoc_opt name (Trace.counts tr))
+  in
+  (c "merge.rows_examined", c "merge.writes")
+
+let patch_merge keys =
+  Printf.sprintf "TEMPORAL MERGE INTO stock USING (%s) MODE PATCH"
+    (String.concat " UNION ALL "
+       (List.map
+          (fun k ->
+            Printf.sprintf
+              "SELECT '%s' AS sku, %d AS qty, DATE '2010-0%d-01' AS \
+               begin_time, DATE '2010-0%d-15' AS end_time"
+              (sku k) (k + 50) (1 + (k mod 8)) (1 + (k mod 8)))
+          keys))
+
+let test_rows_examined_scale_free () =
+  let merge = patch_merge (List.init 20 (fun i -> i * 7)) in
+  let small = traced_merge (product_stock 200) merge in
+  let large = traced_merge (product_stock 5000) merge in
+  Alcotest.(check bool) "the merge wrote" true (snd small > 0);
+  Alcotest.(check (pair int int)) "same rows examined and written" small large
+
+(* Many entities sharing aligned periods: a merge over all of them must
+   pass and read each entity's rows a bounded number of times. *)
+let test_aligned_periods () =
+  let n = 200 in
+  let e = product_stock ~stock_end:"2024-01-01" n in
+  let examined, writes =
+    traced_merge e
+      (Printf.sprintf "TEMPORAL MERGE INTO stock USING (%s) MODE UPSERT"
+         (String.concat " UNION ALL "
+            (List.init n (fun i ->
+                 Printf.sprintf
+                   "SELECT '%s' AS sku, 99 AS qty, DATE '2023-03-01' AS \
+                    begin_time, DATE '2023-06-01' AS end_time"
+                   (sku i)))))
+  in
+  (* the covering stock row is replaced by three pieces *)
+  Alcotest.(check int) "four writes per entity" (4 * n) writes;
+  Alcotest.(check bool)
+    (Printf.sprintf "rows examined linear in the write set (%d)" examined)
+    true
+    (examined <= 12 * n);
+  expect_violation "aligned merge past the product's validity" e
+    (Printf.sprintf "TEMPORAL MERGE INTO stock USING (%s) MODE UPSERT"
+       (String.concat " UNION ALL "
+          (List.init n (fun i ->
+               Printf.sprintf
+                 "SELECT '%s' AS sku, 1 AS qty, DATE '%s' AS begin_time, \
+                  DATE '%s' AS end_time"
+                 (sku i)
+                 (if i = n - 1 then "2009-06-01" else "2023-03-01")
+                 "2023-06-01"))))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -483,6 +800,9 @@ let qcheck_tests =
       QCheck.Test.make ~count:40 ~name:"seeded fault => merge rolls back"
         QCheck.(int_range 0 9999)
         prop_merge_atomic_under_fault;
+      QCheck.Test.make ~count:200
+        ~name:"constraint violations = naive reference check"
+        arb_constraint_case prop_constraints_match_reference;
     ]
 
 let suite =
@@ -518,6 +838,10 @@ let suite =
           test_create_table_constraint_errors;
         Alcotest.test_case "constraints on bitemporal tables" `Quick
           test_constraints_bitemporal;
+        Alcotest.test_case "merge rows examined independent of table size"
+          `Quick test_rows_examined_scale_free;
+        Alcotest.test_case "aligned periods: large merge stays linear" `Quick
+          test_aligned_periods;
       ]
       @ qcheck_tests );
   ]

@@ -22,8 +22,10 @@ let test_vec_basics () =
   Vec.set v 41 1000;
   Alcotest.(check int) "set" 1000 (Vec.get v 41);
   Alcotest.(check int) "fold" (5050 - 42 + 1000) (Vec.fold_left ( + ) 0 v);
-  Vec.filter_in_place (fun x -> x mod 2 = 0) v;
-  Alcotest.(check bool) "filter keeps evens" true
+  (* the odd values sit at the even positions *)
+  Vec.remove_sorted v (Array.init 50 (fun i -> 2 * i));
+  Alcotest.(check int) "removed" 50 (Vec.length v);
+  Alcotest.(check bool) "remove_sorted keeps evens" true
     (Vec.fold_left (fun acc x -> acc && x mod 2 = 0) true v);
   Vec.map_in_place (fun x -> x + 1) v;
   Alcotest.(check bool) "map applied" true (Vec.exists (fun x -> x = 3) v);
