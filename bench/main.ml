@@ -33,9 +33,9 @@ let env_jobs =
   | None -> 1
 
 (* TAUPSM_COMPILE={0,1} forces plan compilation off or on for the same
-   opt-in harness runs (CI repeats the recovery fuzz with it pinned on,
-   proving compiled evaluation against the durable stratum). Absent, the
-   engine default (on) stands. *)
+   opt-in harness runs (CI repeats the recovery fuzz with it off, so the
+   interpreted back-end meets the same crash points as the default,
+   compiled one). Absent, the engine default (on) stands. *)
 let env_compile = Option.map (( <> ) "0") (Sys.getenv_opt "TAUPSM_COMPILE")
 
 let apply_env_jobs e =

@@ -1,35 +1,36 @@
-(* Plan compilation: turn a SELECT the interpreter would analyse afresh
-   on every evaluation into an OCaml closure network built once per
-   (statement, plan token) and reused for the statement's lifetime.
+(* Plan compilation: run a SELECT through closures built once per
+   (statement, plan token) instead of walking its AST on every
+   evaluation.
 
-   The compiled form mirrors the interpreter exactly — same join order,
-   same access-path selection (hash / interval-index / full scan), same
-   three-valued logic, same trace counters and guard charges, and the
-   same evaluation order for side-effecting sub-expressions — so its
-   results are bit-identical by construction.  What it removes is the
-   per-evaluation overhead: conjunct classification, alias/column name
-   resolution (pre-resolved to array offsets), per-call hash-index
-   builds, and transaction-time re-filtering of unchanged tables.
+   Planning and the join loop are not here: the compiler takes the
+   shared plan from [Sqleval.Select_plan] — the same join order, conjunct
+   placement and access paths (hash / interval-index / full scan) the
+   interpreter computes — maps its expression compiler over it once, and
+   hands the compiled plan to the same join loop the interpreter runs,
+   so trace counters, events and guard charges match by construction.
+   What this module adds is the expression compiler (column references
+   pre-resolved to array offsets, int/date comparison fast paths), the
+   plan store, and row/hash caches that survive across the many runs of
+   one statement while the scanned table is unchanged.
 
-   Coverage is partial by design: any SELECT whose FROM contains
-   something other than base-table references (views, derived tables,
-   table functions) falls back to the interpreter, as does one with a
-   nested join right of a LEFT JOIN.  Expressions always compile — a
-   construct without a specialised closure (aggregates, subquery
+   Coverage is partial by design: a SELECT whose FROM holds something
+   other than base-table references (views, derived tables, table
+   functions) falls back to the interpreter.  Expressions always compile
+   — a construct without a specialised closure (aggregates, subquery
    predicates, stored-function calls) gets a generic closure that
-   re-enters the interpreter for that node only, keeping recursion
-   depth guards, fault injection and routine memoisation intact. *)
+   re-enters the interpreter for that node only, keeping recursion depth
+   guards, fault injection and routine memoisation intact. *)
 
 open Sqlast.Ast
 module Value = Sqldb.Value
 module Date = Sqldb.Date
-module Schema = Sqldb.Schema
 module Table = Sqldb.Table
 module Database = Sqldb.Database
 module Eval = Sqleval.Eval
 module Catalog = Sqleval.Catalog
 module Builtins = Sqleval.Builtins
 module Result_set = Sqleval.Result_set
+module Select_plan = Sqleval.Select_plan
 
 (* Raised during compilation when the SELECT uses a shape the compiler
    does not cover; the (select, token) pair is then negatively cached so
@@ -51,48 +52,13 @@ type rt = { env : Eval.env; binds : Eval.binding array }
 
 type cexpr = rt -> Value.t
 
-(* An interval-index window bound: begin_time < u / end_time > l. *)
-type cbound = { bd_e : cexpr; bd_incl : bool }
-
-type cperiod = {
-  pd_bi : int;
-  pd_ei : int;
-  pd_ubs : cbound list;
-  pd_lbs : cbound list;
-  pd_sat : int;  (* conjuncts the window implies when the index is exact *)
-  pd_checks_exact : cexpr array;  (* level checks minus the implied ones *)
-}
-
-type chash = {
-  h_ci : int;  (* hashed column offset in the source's rows *)
-  h_probe : cexpr;
-  h_checks : cexpr array;  (* level checks minus the hash equality *)
-}
-
-type csrc = {
-  s_name : string;  (* table lookup name; resolved per run *)
-  s_alias : string;  (* lowercase *)
-  s_cols : string array;  (* lowercase; fixed by the schema token *)
-  s_transaction : bool;
-  s_tt_bi : int;
-  s_tt_ei : int;
-  s_left_on : cexpr option;
-  s_hash : chash option;  (* inner joins under options.hash_joins only *)
-  s_period : cperiod option;
-  s_checks : cexpr array;  (* this level's conjuncts, cheap-first order *)
-}
-
 type cplan = {
   p_id : int;
   p_select : select;  (* for the shared distinct/sort/group tail *)
-  p_srcs : csrc array;
-  p_n : int;
-  p_grouped : bool;
-  p_const_checks : cexpr array;  (* level-0 conjuncts when FROM is empty *)
+  p_names : string array;  (* table lookup names; resolved per run *)
+  p_plan : cexpr Select_plan.t;
   p_proj : rt -> Value.t list;
   p_keys : cexpr list;
-  p_join_event : string;
-  p_tt_index : bool;  (* options.temporal_index, baked into the token *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -170,24 +136,14 @@ let next_id = Atomic.make 0
 (* Specialised comparison: the interpreter's [v_compare] goes through
    [Value.compare_sql]'s full type dispatch; the common INT/INT and
    DATE/DATE cases (period arithmetic is all int-backed dates) short-
-   circuit here with the identical result. *)
-let cmp op =
-  let t =
-    match op with
-    | Eq -> fun c -> c = 0
-    | Neq -> fun c -> c <> 0
-    | Lt -> fun c -> c < 0
-    | Le -> fun c -> c <= 0
-    | Gt -> fun c -> c > 0
-    | Ge -> fun c -> c >= 0
-    | _ -> assert false
-  in
-  fun a b ->
-    match (a, b) with
-    | Value.Null, _ | _, Value.Null -> Value.Null
-    | Value.Int x, Value.Int y -> Value.Bool (t (Int.compare x y))
-    | Value.Date x, Value.Date y -> Value.Bool (t (Date.compare x y))
-    | _ -> Eval.v_compare op a b
+   circuit here with the identical result.  [t] tests the three-way
+   result for the comparison operator [op]. *)
+let cmp op t a b =
+  match (a, b) with
+  | Value.Null, _ | _, Value.Null -> Value.Null
+  | Value.Int x, Value.Int y -> Value.Bool (t (Int.compare x y))
+  | Value.Date x, Value.Date y -> Value.Bool (t (Date.compare x y))
+  | _ -> Eval.v_compare op a b
 
 let arith op a b =
   match (op, a, b) with
@@ -197,273 +153,41 @@ let arith op a b =
   | _ -> Eval.v_arith op a b
 
 let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
-  (* Mirror of the interpreter's join flattening; the unsupported nested
-     LEFT JOIN shape falls back so the interpreter raises its error. *)
-  let rec flatten_from (tr : table_ref) =
-    match tr with
-    | Tjoin (l, Jinner, r, on) ->
-        let ul, cl = flatten_from l in
-        let ur, cr = flatten_from r in
-        (ul @ ur, cl @ cr @ [ on ])
-    | Tjoin (l, Jleft, r, on) ->
-        let ul, cl = flatten_from l in
-        (match r with Tjoin _ -> raise Unsupported | _ -> ());
-        (ul @ [ (r, Some on) ], cl)
-    | _ -> ([ (tr, None) ], [])
-  in
-  let flat_from, join_conjuncts =
-    List.fold_left
-      (fun (us, cs) tr ->
-        let u, c = flatten_from tr in
-        (us @ u, cs @ c))
-      ([], []) s.from
-  in
+  let from, join_conjuncts = Select_plan.flatten s in
   (* Only base-table references compile: views, derived tables and table
      functions need the interpreter's materialisation machinery. *)
-  let resolved =
-    List.map
-      (fun (tr, on) ->
-        match tr with
-        | Tref (name, alias) -> (
-            let alias = Option.value alias ~default:name in
-            match Database.find_table cat.Catalog.db name with
-            | Some t -> (name, lc alias, Table.schema t, on)
-            | None -> raise Unsupported)
-        | _ -> raise Unsupported)
-      flat_from
+  let names, sources =
+    List.split
+      (List.map
+         (fun (tr, on) ->
+           match tr with
+           | Tref (name, alias) -> (
+               match Database.find_table cat.Catalog.db name with
+               | Some t ->
+                   let schema = Table.schema t in
+                   let alias = lc (Option.value alias ~default:name) in
+                   ( name,
+                     {
+                       Select_plan.alias;
+                       cols = Select_plan.columns schema;
+                       kind = Select_plan.Base schema;
+                       on;
+                     } )
+               | None -> raise Unsupported)
+           | _ -> raise Unsupported)
+         from)
   in
-  let n = List.length resolved in
-  let resolved_arr = Array.of_list resolved in
-  let binds_static =
-    Array.map
-      (fun (_, alias, schema, _) ->
-        ( alias,
-          Array.of_list
-            (List.map (fun c -> lc c.Schema.col_name) schema.Schema.columns) ))
-      resolved_arr
-  in
-  let alias_level =
-    Array.to_list (Array.mapi (fun i (a, _) -> (a, i)) binds_static)
-  in
+  let plan = Select_plan.plan cat.Catalog.options s join_conjuncts sources in
+  let levels = plan.Select_plan.levels in
+  let n = Array.length levels in
   let find_alias lq =
     let rec go i =
       if i >= n then None
-      else if fst binds_static.(i) = lq then Some i
+      else if levels.(i).Select_plan.l_alias = lq then Some i
       else go (i + 1)
     in
     go 0
   in
-  let find_col cols lname =
-    let m = Array.length cols in
-    let rec go j =
-      if j >= m then None else if cols.(j) = lname then Some j else go (j + 1)
-    in
-    go 0
-  in
-  let conjuncts =
-    let rec split = function
-      | Binop (And, a, b) -> split a @ split b
-      | e -> [ e ]
-    in
-    join_conjuncts @ (match s.where with None -> [] | Some w -> split w)
-  in
-  (* Mirror of the interpreter's alias analysis: an unqualified column
-     counts for the first source carrying it, and correlated subqueries
-     contribute their qualified references. *)
-  let rec expr_aliases acc (e : expr) =
-    match e with
-    | Col (Some q, _) -> (
-        match List.assoc_opt (lc q) alias_level with
-        | Some lvl -> lvl :: acc
-        | None -> acc)
-    | Col (None, c) -> (
-        let lcc = lc c in
-        let rec first i =
-          if i >= n then None
-          else if Array.exists (fun col -> col = lcc) (snd binds_static.(i))
-          then Some i
-          else first (i + 1)
-        in
-        match first 0 with
-        | Some i -> List.assoc (fst binds_static.(i)) alias_level :: acc
-        | None -> acc)
-    | _ ->
-        let acc =
-          fold_expr_queries
-            (fun acc q ->
-              List.fold_left
-                (fun acc sel ->
-                  let refs = Eval.collect_col_refs sel in
-                  List.fold_left
-                    (fun acc r ->
-                      match r with
-                      | Some q, _ -> (
-                          match List.assoc_opt (lc q) alias_level with
-                          | Some lvl -> lvl :: acc
-                          | None -> acc)
-                      | None, _ -> acc)
-                    acc refs)
-                acc (query_selects q))
-            acc e
-        in
-        shallow_fold_expr expr_aliases acc e
-  and shallow_fold_expr f acc e =
-    match e with
-    | Lit _ | Col _ -> acc
-    | Binop (_, a, b) -> f (f acc a) b
-    | Unop (_, a) | Cast (a, _) | Is_null (a, _) -> f acc a
-    | Fun_call (_, args) -> List.fold_left f acc args
-    | Agg (_, _, Some a) -> f acc a
-    | Agg (_, _, None) -> acc
-    | Case c ->
-        let acc =
-          match c.case_operand with Some e -> f acc e | None -> acc
-        in
-        let acc =
-          List.fold_left (fun acc (w, t) -> f (f acc w) t) acc c.case_branches
-        in
-        (match c.case_else with Some e -> f acc e | None -> acc)
-    | Exists _ | Scalar_subquery _ -> acc
-    | In_pred (e, In_list es, _) -> List.fold_left f (f acc e) es
-    | In_pred (e, In_query _, _) -> f acc e
-    | Between (a, b, c, _) -> f (f (f acc a) b) c
-    | Like (a, b, _) -> f (f acc a) b
-  in
-  let conjunct_level e =
-    match expr_aliases [] e with [] -> 0 | ls -> List.fold_left max 0 ls
-  in
-  let has_fun_call e =
-    fold_expr_funcalls
-      (fun acc name _ -> acc || not (Builtins.is_builtin name))
-      false e
-  in
-  let level_conjuncts = Array.make (max n 1) ([] : expr list) in
-  List.iter
-    (fun c ->
-      let lvl = conjunct_level c in
-      level_conjuncts.(lvl) <- c :: level_conjuncts.(lvl))
-    conjuncts;
-  Array.iteri
-    (fun i cs ->
-      let cheap, costly = List.partition (fun c -> not (has_fun_call c)) cs in
-      level_conjuncts.(i) <- cheap @ costly)
-    level_conjuncts;
-  let col_of_source i e =
-    let al, cols = binds_static.(i) in
-    match e with
-    | Col (Some q, c) when lc q = al ->
-        let lcc = lc c in
-        if Array.exists (fun col -> col = lcc) cols then Some lcc else None
-    | Col (None, c) ->
-        let lcc = lc c in
-        if
-          Array.exists (fun col -> col = lcc) cols
-          && not
-               (Array.exists
-                  (fun (al', cols') ->
-                    al' <> al && Array.exists (fun col -> col = lcc) cols')
-                  binds_static)
-        then Some lcc
-        else None
-    | _ -> None
-  in
-  let bound_before i e =
-    List.for_all (fun lvl -> lvl < i) (expr_aliases [] e)
-  in
-  let find_hash_key i =
-    let col_of_i = col_of_source i in
-    let bound_elsewhere = bound_before i in
-    let rec scan = function
-      | [] -> None
-      | c :: rest -> (
-          match c with
-          | Binop (Eq, a, bb) -> (
-              match (col_of_i a, bound_elsewhere bb) with
-              | Some col, true -> Some (col, bb, c)
-              | _ -> (
-                  match (col_of_i bb, bound_elsewhere a) with
-                  | Some col, true -> Some (col, a, c)
-                  | _ -> scan rest))
-          | _ -> scan rest)
-    in
-    scan level_conjuncts.(i)
-  in
-  let find_period_plan i =
-    let _, _, schema, left_on = resolved_arr.(i) in
-    if not schema.Schema.temporal then None
-    else begin
-      let which e =
-        match col_of_source i e with
-        | Some lcc when lcc = Schema.begin_time_col -> Some `Begin
-        | Some lcc when lcc = Schema.end_time_col -> Some `End
-        | _ -> None
-      in
-      let usable e = bound_before i e && not (has_fun_call e) in
-      let ubs = ref [] and lbs = ref [] in
-      let consider c =
-        match c with
-        | Binop (op, x, y) -> (
-            match (which x, which y) with
-            | Some side, None when usable y -> (
-                match (side, op) with
-                | `Begin, Le -> ubs := (y, true, c, true) :: !ubs
-                | `Begin, Eq -> ubs := (y, true, c, false) :: !ubs
-                | `Begin, Lt -> ubs := (y, false, c, true) :: !ubs
-                | `End, Ge -> lbs := (y, true, c, true) :: !lbs
-                | `End, Eq -> lbs := (y, true, c, false) :: !lbs
-                | `End, Gt -> lbs := (y, false, c, true) :: !lbs
-                | _ -> ())
-            | None, Some side when usable x -> (
-                match (side, op) with
-                | `Begin, Ge -> ubs := (x, true, c, true) :: !ubs
-                | `Begin, Eq -> ubs := (x, true, c, false) :: !ubs
-                | `Begin, Gt -> ubs := (x, false, c, true) :: !ubs
-                | `End, Le -> lbs := (x, true, c, true) :: !lbs
-                | `End, Eq -> lbs := (x, true, c, false) :: !lbs
-                | `End, Lt -> lbs := (x, false, c, true) :: !lbs
-                | _ -> ())
-            | _ -> ())
-        | _ -> ()
-      in
-      let conjuncts =
-        match left_on with
-        | None -> level_conjuncts.(i)
-        | Some on ->
-            let rec split = function
-              | Binop (And, a, b) -> split a @ split b
-              | e -> [ e ]
-            in
-            split on
-      in
-      List.iter consider conjuncts;
-      if !ubs = [] && !lbs = [] then None
-      else
-        Some (Schema.begin_index schema, Schema.end_index schema, !ubs, !lbs)
-    end
-  in
-  let hash_plans =
-    Array.init (max n 1) (fun i -> if i < n then find_hash_key i else None)
-  in
-  let period_plans =
-    Array.init (max n 1) (fun i ->
-        if i < n && cat.Catalog.options.Catalog.temporal_index then
-          find_period_plan i
-        else None)
-  in
-  let join_event =
-    let path i =
-      let _, _, _, left_on = resolved_arr.(i) in
-      match hash_plans.(i) with
-      | Some (col, _, _)
-        when left_on = None && cat.Catalog.options.Catalog.hash_joins ->
-          "hash(" ^ col ^ ")"
-      | _ -> if Option.is_some period_plans.(i) then "index" else "full"
-    in
-    "order="
-    ^ String.concat ","
-        (List.init n (fun i -> fst binds_static.(i) ^ ":" ^ path i))
-  in
-  (* --- expression compilation ------------------------------------- *)
   (* The generic fallback re-enters the interpreter for one node; since
      the plan's bindings are pushed as the innermost frame at run time,
      name resolution there behaves exactly as in interpreted mode. *)
@@ -477,18 +201,19 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
         | Some qq -> (
             match find_alias (lc qq) with
             | Some bi -> (
-                match find_col (snd binds_static.(bi)) lname with
+                let cols = levels.(bi).Select_plan.l_cols in
+                match Select_plan.column_offset cols lname with
                 | Some ci -> fun rt -> rt.binds.(bi).Eval.b_row.(ci)
                 | None -> fun _ -> Eval.sql_error "no column %s in %s" name qq)
             | None -> generic e)
         | None -> (
             let hits = ref [] in
             Array.iteri
-              (fun i (_, cols) ->
-                match find_col cols lname with
+              (fun i l ->
+                match Select_plan.column_offset l.Select_plan.l_cols lname with
                 | Some ci -> hits := (i, ci) :: !hits
                 | None -> ())
-              binds_static;
+              levels;
             match !hits with
             | [ (bi, ci) ] -> fun rt -> rt.binds.(bi).Eval.b_row.(ci)
             | [] -> generic e
@@ -499,10 +224,12 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
     | Binop (Or, a, b) ->
         let ca = comp a and cb = comp b in
         fun rt -> Eval.v_or (ca rt) (cb rt)
-    | Binop (((Eq | Neq | Lt | Le | Gt | Ge) as op), a, b) ->
-        let ca = comp a and cb = comp b in
-        let c = cmp op in
-        fun rt -> c (ca rt) (cb rt)
+    | Binop (Eq, a, b) -> comparison Eq (fun c -> c = 0) a b
+    | Binop (Neq, a, b) -> comparison Neq (fun c -> c <> 0) a b
+    | Binop (Lt, a, b) -> comparison Lt (fun c -> c < 0) a b
+    | Binop (Le, a, b) -> comparison Le (fun c -> c <= 0) a b
+    | Binop (Gt, a, b) -> comparison Gt (fun c -> c > 0) a b
+    | Binop (Ge, a, b) -> comparison Ge (fun c -> c >= 0) a b
     | Binop (Concat, a, b) ->
         let ca = comp a and cb = comp b in
         fun rt -> Eval.v_concat (ca rt) (cb rt)
@@ -601,72 +328,9 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
     | Exists _ | Scalar_subquery _ | Agg _ | Fun_call _
     | In_pred (_, In_query _, _) ->
         generic e
-  in
-  let comp_list es = Array.of_list (List.map comp es) in
-  let srcs =
-    Array.init n (fun i ->
-        let name, alias, schema, left_on = resolved_arr.(i) in
-        let cols = snd binds_static.(i) in
-        let level = level_conjuncts.(i) in
-        let hash =
-          match
-            ( (if cat.Catalog.options.Catalog.hash_joins then hash_plans.(i)
-               else None),
-              left_on )
-          with
-          | Some (col, probe, used), None ->
-              let ci =
-                match find_col cols col with
-                | Some ci -> ci
-                | None -> assert false
-              in
-              Some
-                {
-                  h_ci = ci;
-                  h_probe = comp probe;
-                  h_checks =
-                    comp_list (List.filter (fun c -> not (c == used)) level);
-                }
-          | _ -> None
-        in
-        let period =
-          match period_plans.(i) with
-          | None -> None
-          | Some (bi, ei, ubs, lbs) ->
-              let cb (e, incl, _, _) = { bd_e = comp e; bd_incl = incl } in
-              let sat =
-                List.filter_map
-                  (fun (_, _, c, exact) -> if exact then Some c else None)
-                  (ubs @ lbs)
-              in
-              Some
-                {
-                  pd_bi = bi;
-                  pd_ei = ei;
-                  pd_ubs = List.map cb ubs;
-                  pd_lbs = List.map cb lbs;
-                  pd_sat = List.length sat;
-                  pd_checks_exact =
-                    comp_list
-                      (List.filter (fun c -> not (List.memq c sat)) level);
-                }
-        in
-        {
-          s_name = name;
-          s_alias = alias;
-          s_cols = cols;
-          s_transaction = schema.Schema.transaction;
-          s_tt_bi =
-            (if schema.Schema.transaction then Schema.tt_begin_index schema
-             else -1);
-          s_tt_ei =
-            (if schema.Schema.transaction then Schema.tt_end_index schema
-             else -1);
-          s_left_on = Option.map comp left_on;
-          s_hash = hash;
-          s_period = period;
-          s_checks = comp_list level;
-        })
+  and comparison op t a b =
+    let ca = comp a and cb = comp b in
+    fun rt -> cmp op t (ca rt) (cb rt)
   in
   let proj_items =
     List.map
@@ -685,23 +349,13 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
             fun rt -> [ c rt ])
       s.proj
   in
-  let grouped =
-    s.group_by <> [] || s.having <> None
-    || List.exists
-         (function Proj_expr (e, _) -> Eval.fold_has_agg e | _ -> false)
-         s.proj
-  in
   {
     p_id = Atomic.fetch_and_add next_id 1;
     p_select = s;
-    p_srcs = srcs;
-    p_n = n;
-    p_grouped = grouped;
-    p_const_checks = (if n = 0 then comp_list level_conjuncts.(0) else [||]);
+    p_names = Array.of_list names;
+    p_plan = Select_plan.map comp plan;
     p_proj = (fun rt -> List.concat_map (fun f -> f rt) proj_items);
     p_keys = List.map (fun (e, _) -> comp e) s.order_by;
-    p_join_event = join_event;
-    p_tt_index = cat.Catalog.options.Catalog.temporal_index;
   }
 
 let compile_select cat s =
@@ -715,32 +369,25 @@ let compile_select cat s =
 
 let run_plan (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
   let cat = env.Eval.cat in
-  let obs = cat.Catalog.obs in
-  let n = p.p_n in
   (* Resolve source tables against the live database in source order; a
      vanished table raises the interpreter's own resolution error (in
      practice a drop bumps the plan token first). *)
   let tabs =
     Array.map
-      (fun sr ->
-        match Database.find_table cat.Catalog.db sr.s_name with
+      (fun name ->
+        match Database.find_table cat.Catalog.db name with
         | Some t -> t
-        | None -> Eval.sql_error "unknown table or view %s" sr.s_name)
-      p.p_srcs
+        | None -> Eval.sql_error "unknown table or view %s" name)
+      p.p_names
   in
-  let binds =
-    Array.map
-      (fun sr ->
-        { Eval.b_alias = sr.s_alias; b_cols = sr.s_cols; b_row = [||] })
-      p.p_srcs
-  in
+  let n = Array.length tabs in
+  let binds = Select_plan.bindings p.p_plan in
   let rt = { env; binds } in
-  let binds_list = Array.to_list binds in
   let slots =
     match Hashtbl.find_opt es.es_caches p.p_id with
     | Some a -> a
     | None ->
-        let a = Array.make (max n 1) None in
+        let a = Array.make n None in
         Hashtbl.replace es.es_caches p.p_id a;
         a
   in
@@ -760,32 +407,14 @@ let run_plan (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
         slots.(i) <- Some e;
         e
   in
-  let tt_filter i =
-    let sr = p.p_srcs.(i) in
-    if not sr.s_transaction then None
-    else
-      match env.Eval.tt_mode with
-      | `All -> None
-      | `Current ->
-          Some
-            (fun (r : Value.t array) ->
-              Value.to_date_exn r.(sr.s_tt_ei) = Date.forever)
-      | `Asof d ->
-          Some
-            (fun (r : Value.t array) ->
-              Value.to_date_exn r.(sr.s_tt_bi) <= d
-              && d < Value.to_date_exn r.(sr.s_tt_ei))
-  in
-  (* The per-run memo mirrors the interpreter's per-evaluation laziness:
+  (* The per-run memo matches the interpreter's per-evaluation laziness:
      within one run the row list and hash index are frozen at first use
-     (a mid-run mutation by a routine does not refresh them, exactly as
-     a forced lazy stays forced), while across runs the persistent entry
-     revalidates against the table's identity and version. *)
-  let run_rows : Value.t array list option array = Array.make (max n 1) None in
-  let run_hash : (Value.t, Value.t array list) Hashtbl.t option array =
-    Array.make (max n 1) None
-  in
-  let scan_rows i =
+     (a mid-run mutation by a routine does not refresh them), while
+     across runs the persistent entry revalidates against the table's
+     identity and version. *)
+  let run_rows = Array.make n None in
+  let run_hash = Array.make n None in
+  let rows i =
     match run_rows.(i) with
     | Some rows -> rows
     | None ->
@@ -794,22 +423,10 @@ let run_plan (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
           match e.e_rows with
           | Some rows -> rows
           | None ->
-              let sr = p.p_srcs.(i) in
-              let t = tabs.(i) in
               let rows =
-                match tt_filter i with
-                | None -> Table.to_list t
-                | Some pfn ->
-                    if p.p_tt_index then
-                      let begin_, end_ =
-                        match env.Eval.tt_mode with
-                        | `Asof d -> (d, d + 1)
-                        | _ -> (Date.forever - 1, max_int)
-                      in
-                      List.filter pfn
-                        (Table.overlapping t ~bi:sr.s_tt_bi ~ei:sr.s_tt_ei
-                           ~begin_ ~end_)
-                    else List.filter pfn (Table.to_list t)
+                Select_plan.base_rows
+                  ~temporal_index:cat.Catalog.options.Catalog.temporal_index
+                  env.Eval.tt_mode tabs.(i)
               in
               e.e_rows <- Some rows;
               rows
@@ -817,7 +434,7 @@ let run_plan (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
         run_rows.(i) <- Some rows;
         rows
   in
-  let hash_index i h_ci =
+  let hash i ci =
     match run_hash.(i) with
     | Some h -> h
     | None ->
@@ -826,220 +443,58 @@ let run_plan (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
           match e.e_hash with
           | Some h -> h
           | None ->
-              let h = Hashtbl.create 256 in
-              List.iter
-                (fun (r : Value.t array) ->
-                  let k = r.(h_ci) in
-                  if not (Value.is_null k) then
-                    Hashtbl.replace h k
-                      (r :: Option.value (Hashtbl.find_opt h k) ~default:[]))
-                (scan_rows i);
+              let h = Select_plan.hash_rows ci (rows i) in
               e.e_hash <- Some h;
               h
         in
         run_hash.(i) <- Some h;
         h
   in
-  let period_scan i =
-    match p.p_srcs.(i).s_period with
-    | None -> None
-    | Some pd -> (
-        let t = tabs.(i) in
-        let fold init pick adjust bounds =
-          List.fold_left
-            (fun acc b ->
-              match acc with
-              | None -> None
-              | Some v -> (
-                  match b.bd_e rt with
-                  | Value.Date d -> Some (pick v (adjust d b.bd_incl))
-                  | _ -> None))
-            (Some init) bounds
-        in
-        let u =
-          fold max_int min (fun d incl -> if incl then d + 1 else d) pd.pd_ubs
-        in
-        let l =
-          fold min_int max (fun d incl -> if incl then d - 1 else d) pd.pd_lbs
-        in
-        match (l, u) with
-        | Some l, Some u ->
-            let cands =
-              Table.overlapping t ~bi:pd.pd_bi ~ei:pd.pd_ei ~begin_:l ~end_:u
-            in
-            let nsat =
-              if Table.overlap_residuals t ~bi:pd.pd_bi ~ei:pd.pd_ei = 0 then
-                pd.pd_sat
-              else 0
-            in
-            if Trace.enabled obs then begin
-              let tname = Table.name t in
-              Trace.count obs "scan.indexed" 1;
-              Trace.count obs ("scan.indexed:" ^ tname) 1;
-              Trace.count obs "rows.probed" (List.length cands);
-              let bound d inf =
-                if d = min_int || d = max_int then inf else Date.to_string d
-              in
-              Trace.event obs "scan"
-                (Printf.sprintf
-                   "indexed table=%s window=(%s,%s) probes=%d elided=%d" tname
-                   (bound l "-inf") (bound u "+inf") (List.length cands) nsat)
-            end;
-            Some
-              ( (match tt_filter i with
-                | Some pfn -> List.filter pfn cands
-                | None -> cands),
-                nsat )
-        | _ ->
-            if Trace.enabled obs then begin
-              Trace.count obs "scan.residual_fallback" 1;
-              Trace.event obs "scan"
-                (Printf.sprintf "fallback table=%s (non-date bound)"
-                   (Table.name t))
-            end;
-            None)
+  let base i =
+    let t = tabs.(i) in
+    Some (t, Select_plan.tt_filter (Table.schema t) env.Eval.tt_mode)
   in
-  if Trace.enabled obs && n > 0 then Trace.event obs "join" p.p_join_event;
-  let saved_frames = env.Eval.frames in
-  env.Eval.frames <- binds_list :: env.Eval.frames;
-  Fun.protect
-    ~finally:(fun () -> env.Eval.frames <- saved_frames)
-    (fun () ->
-      let grouped = p.p_grouped in
-      let snapshots = ref [] in
-      let flat_rows = ref [] in
-      let emit () =
-        Guard.charge_rows env.Eval.guard 1;
-        if grouped then
-          snapshots := Array.map (fun b -> b.Eval.b_row) binds :: !snapshots
-        else begin
-          let out = p.p_proj rt in
-          let keys = List.map (fun k -> k rt) p.p_keys in
-          flat_rows := Array.of_list (out @ keys) :: !flat_rows
-        end
-      in
-      let all_pass (checks : cexpr array) =
-        let m = Array.length checks in
-        let rec go j = j >= m || (Eval.truthy (checks.(j) rt) && go (j + 1)) in
-        go 0
-      in
-      let rec extend i =
-        if i = n then begin
-          if n = 0 then begin if all_pass p.p_const_checks then emit () end
-          else emit ()
-        end
-        else begin
-          let sr = p.p_srcs.(i) in
-          let b = binds.(i) in
-          let iterate rows checks =
-            List.iter
-              (fun row ->
-                b.Eval.b_row <- row;
-                if all_pass checks then begin
-                  Trace.count obs "rows.matched" 1;
-                  extend (i + 1)
-                end)
-              rows
-          in
-          match sr.s_left_on with
-          | Some on ->
-              let matched = ref false in
-              let rows =
-                match period_scan i with
-                | Some (cands, _) -> cands
-                | None ->
-                    let rows = scan_rows i in
-                    if Trace.enabled obs then begin
-                      Trace.count obs "scan.full" 1;
-                      Trace.count obs "rows.probed" (List.length rows)
-                    end;
-                    rows
-              in
-              List.iter
-                (fun row ->
-                  b.Eval.b_row <- row;
-                  if Eval.truthy (on rt) then begin
-                    matched := true;
-                    if all_pass sr.s_checks then begin
-                      Trace.count obs "rows.matched" 1;
-                      extend (i + 1)
-                    end
-                  end)
-                rows;
-              if not !matched then begin
-                b.Eval.b_row <- Array.make (Array.length sr.s_cols) Value.Null;
-                if all_pass sr.s_checks then extend (i + 1)
-              end
-          | None -> (
-              match sr.s_hash with
-              | Some h ->
-                  let rows =
-                    let k = h.h_probe rt in
-                    if Value.is_null k then []
-                    else
-                      match Hashtbl.find_opt (hash_index i h.h_ci) k with
-                      | Some rs -> rs
-                      | None -> []
-                  in
-                  if Trace.enabled obs then begin
-                    Trace.count obs "scan.hash" 1;
-                    Trace.count obs "rows.probed" (List.length rows);
-                    Trace.count obs "conjuncts.elided" 1
-                  end;
-                  iterate rows h.h_checks
-              | None -> (
-                  match period_scan i with
-                  | Some (cands, nsat) ->
-                      let checks =
-                        if nsat > 0 then
-                          match sr.s_period with
-                          | Some pd -> pd.pd_checks_exact
-                          | None -> assert false
-                        else sr.s_checks
-                      in
-                      if Trace.enabled obs && nsat > 0 then
-                        Trace.count obs "conjuncts.elided" nsat;
-                      iterate cands checks
-                  | None ->
-                      let rows = scan_rows i in
-                      if Trace.enabled obs then begin
-                        Trace.count obs "scan.full" 1;
-                        Trace.count obs ("scan.full:" ^ Table.name tabs.(i)) 1;
-                        Trace.count obs "rows.probed" (List.length rows)
-                      end;
-                      iterate rows sr.s_checks))
-        end
-      in
-      extend 0;
-      if grouped then
-        Eval.finish_grouped env p.p_select binds_list (List.rev !snapshots)
-      else Eval.finish_flat env p.p_select (List.rev !flat_rows))
+  let pass (checks : cexpr array) =
+    let m = Array.length checks in
+    let rec go j = j >= m || (Eval.truthy (checks.(j) rt) && go (j + 1)) in
+    go 0
+  in
+  Eval.run_select env p.p_select p.p_plan binds
+    ~value:(fun c -> c rt)
+    ~pass
+    { Select_plan.rows; hash; base }
+    ~flat_row:(fun () ->
+      let out = p.p_proj rt in
+      let keys = List.map (fun k -> k rt) p.p_keys in
+      Array.of_list (out @ keys))
 
 (* ------------------------------------------------------------------ *)
 (* The evaluator hook                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The catalog-wide store's plan for [s] under token [tok], compiling
+   on a miss. *)
+let stored_plan (cat : Catalog.t) tok (s : select) : cplan option =
+  let st = plans_of cat in
+  Mutex.lock st.mu;
+  let cached = Hashtbl.find_opt st.plans s in
+  Mutex.unlock st.mu;
+  match cached with
+  | Some (t, p) when t = tok -> p
+  | _ ->
+      let p = compile_select cat s in
+      Mutex.lock st.mu;
+      Hashtbl.replace st.plans s (tok, p);
+      Mutex.unlock st.mu;
+      p
+
 let lookup_plan (env : Eval.env) (s : select) : cplan option =
-  let cat = env.Eval.cat in
-  let tok = Catalog.plan_token cat in
+  let tok = Catalog.plan_token env.Eval.cat in
   let es = estate_of env in
   match Hashtbl.find_opt es.es_plans s with
   | Some (t, p) when t = tok -> p
   | _ ->
-      let st = plans_of cat in
-      Mutex.lock st.mu;
-      let cached = Hashtbl.find_opt st.plans s in
-      Mutex.unlock st.mu;
-      let p =
-        match cached with
-        | Some (t, p) when t = tok -> p
-        | _ ->
-            let p = compile_select cat s in
-            Mutex.lock st.mu;
-            Hashtbl.replace st.plans s (tok, p);
-            Mutex.unlock st.mu;
-            p
-      in
+      let p = stored_plan env.Eval.cat tok s in
       Hashtbl.replace es.es_plans s (tok, p);
       p
 
@@ -1057,19 +512,7 @@ let install () = Eval.select_compiler := select_hook
 let prewarm (cat : Catalog.t) (q : query) =
   if cat.Catalog.options.Catalog.compile then
     match q with
-    | Select s -> (
-        let tok = Catalog.plan_token cat in
-        let st = plans_of cat in
-        Mutex.lock st.mu;
-        let known = Hashtbl.find_opt st.plans s in
-        Mutex.unlock st.mu;
-        match known with
-        | Some (t, _) when t = tok -> ()
-        | _ ->
-            let p = compile_select cat s in
-            Mutex.lock st.mu;
-            Hashtbl.replace st.plans s (tok, p);
-            Mutex.unlock st.mu)
+    | Select s -> ignore (stored_plan cat (Catalog.plan_token cat) s)
     | _ -> ()
 
 (* ------------------------------------------------------------------ *)

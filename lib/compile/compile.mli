@@ -1,14 +1,17 @@
 (** Plan compilation: closure-compiled SELECT evaluation.
 
-    Cached physical plans become OCaml closure networks — column
-    references pre-resolved to array offsets, comparators specialised
-    for the int-backed date/interval fast path, cursor-free scan loops —
-    mirroring the interpreter's semantics, access-path selection, trace
-    counters and guard charges exactly, so compiled results are
-    bit-identical to interpreted ones.  SELECT shapes the compiler does
-    not cover fall back to the interpreter per evaluation; the
-    [compile.compiled] / [compile.interpreted] trace counters expose the
-    split per statement. *)
+    The compiler takes the interpreter's own plan from
+    {!Sqleval.Select_plan} — join order, conjunct placement, hash and
+    interval-index access paths — and maps an expression compiler over
+    it once per (statement, plan token): column references become array
+    offsets and comparators get int/date fast paths.  The compiled plan
+    then runs through the same join loop as the interpreter, so trace
+    counters, events and guard charges match by construction; only
+    expression evaluation differs.  Row lists and hash indexes are
+    cached across runs while a scanned table is unchanged.  A SELECT
+    over anything but base tables falls back to the interpreter per
+    evaluation; the [compile.compiled] / [compile.interpreted] trace
+    counters expose the split per statement. *)
 
 val install : unit -> unit
 (** Register the compiler as {!Sqleval.Eval.select_compiler}.  The hook

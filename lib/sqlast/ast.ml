@@ -260,71 +260,38 @@ let select_default =
 (* Generic folds over the AST                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Fold [f] over an expression's direct sub-expressions, left to right.
+   Subqueries are not entered; a recursive walk built on this handles
+   [Exists], [Scalar_subquery] and [In_query] itself. *)
+let fold_expr_children f acc e =
+  match e with
+  | Lit _ | Col _ | Exists _ | Scalar_subquery _ | Agg (_, _, None) -> acc
+  | Binop (_, a, b) | Like (a, b, _) -> f (f acc a) b
+  | Unop (_, a) | Cast (a, _) | Is_null (a, _) | Agg (_, _, Some a) -> f acc a
+  | Fun_call (_, args) -> List.fold_left f acc args
+  | Case c ->
+      let acc = Option.fold ~none:acc ~some:(f acc) c.case_operand in
+      let acc =
+        List.fold_left (fun acc (w, t) -> f (f acc w) t) acc c.case_branches
+      in
+      Option.fold ~none:acc ~some:(f acc) c.case_else
+  | In_pred (a, In_list es, _) -> List.fold_left f (f acc a) es
+  | In_pred (a, In_query _, _) -> f acc a
+  | Between (a, b, c, _) -> f (f (f acc a) b) c
+
 (* Fold every sub-query reachable from an expression/query/statement.
    Used by the reachability analysis and the transformations. *)
 let rec fold_expr_queries f acc e =
+  let acc = fold_expr_children (fold_expr_queries f) acc e in
   match e with
-  | Lit _ | Col _ -> acc
-  | Binop (_, a, b) -> fold_expr_queries f (fold_expr_queries f acc a) b
-  | Unop (_, a) | Cast (a, _) | Is_null (a, _) -> fold_expr_queries f acc a
-  | Fun_call (_, args) -> List.fold_left (fold_expr_queries f) acc args
-  | Agg (_, _, arg) -> (
-      match arg with None -> acc | Some a -> fold_expr_queries f acc a)
-  | Case c ->
-      let acc =
-        match c.case_operand with
-        | None -> acc
-        | Some e -> fold_expr_queries f acc e
-      in
-      let acc =
-        List.fold_left
-          (fun acc (w, t) -> fold_expr_queries f (fold_expr_queries f acc w) t)
-          acc c.case_branches
-      in
-      (match c.case_else with None -> acc | Some e -> fold_expr_queries f acc e)
-  | Exists q | Scalar_subquery q -> f acc q
-  | In_pred (e, src, _) -> (
-      let acc = fold_expr_queries f acc e in
-      match src with
-      | In_list es -> List.fold_left (fold_expr_queries f) acc es
-      | In_query q -> f acc q)
-  | Between (a, b, c, _) ->
-      fold_expr_queries f (fold_expr_queries f (fold_expr_queries f acc a) b) c
-  | Like (a, b, _) -> fold_expr_queries f (fold_expr_queries f acc a) b
+  | Exists q | Scalar_subquery q | In_pred (_, In_query q, _) -> f acc q
+  | _ -> acc
 
 (* Fold every function call name appearing in an expression (not
    descending into subqueries — pass a query hook for that). *)
 let rec fold_expr_funcalls f acc e =
-  match e with
-  | Lit _ | Col _ -> acc
-  | Fun_call (name, args) ->
-      List.fold_left (fold_expr_funcalls f) (f acc name args) args
-  | Binop (_, a, b) -> fold_expr_funcalls f (fold_expr_funcalls f acc a) b
-  | Unop (_, a) | Cast (a, _) | Is_null (a, _) -> fold_expr_funcalls f acc a
-  | Agg (_, _, arg) -> (
-      match arg with None -> acc | Some a -> fold_expr_funcalls f acc a)
-  | Case c ->
-      let acc =
-        match c.case_operand with
-        | None -> acc
-        | Some e -> fold_expr_funcalls f acc e
-      in
-      let acc =
-        List.fold_left
-          (fun acc (w, t) ->
-            fold_expr_funcalls f (fold_expr_funcalls f acc w) t)
-          acc c.case_branches
-      in
-      (match c.case_else with None -> acc | Some e -> fold_expr_funcalls f acc e)
-  | Exists _ | Scalar_subquery _ -> acc
-  | In_pred (e, src, _) -> (
-      let acc = fold_expr_funcalls f acc e in
-      match src with
-      | In_list es -> List.fold_left (fold_expr_funcalls f) acc es
-      | In_query _ -> acc)
-  | Between (a, b, c, _) ->
-      fold_expr_funcalls f (fold_expr_funcalls f (fold_expr_funcalls f acc a) b) c
-  | Like (a, b, _) -> fold_expr_funcalls f (fold_expr_funcalls f acc a) b
+  let acc = match e with Fun_call (name, args) -> f acc name args | _ -> acc in
+  fold_expr_children (fold_expr_funcalls f) acc e
 
 (* All SELECT blocks of a query, outermost first. *)
 let rec query_selects = function

@@ -1,5 +1,5 @@
-(* The evaluator: expressions (SQL three-valued logic), queries (nested-
-   loop join with predicate pushdown and opportunistic hash joins),
+(* The evaluator: expressions (SQL three-valued logic), queries (FROM
+   sources resolved here, then planned and joined by {!Select_plan}),
    DML, and the PSM interpreter (control statements, cursors, stored
    functions and procedures, table-valued functions).
 
@@ -14,31 +14,19 @@ module Schema = Sqldb.Schema
 module Table = Sqldb.Table
 module Database = Sqldb.Database
 
-exception Sql_error of string
+exception Sql_error = Select_plan.Sql_error
 
-let sql_error fmt = Printf.ksprintf (fun s -> raise (Sql_error s)) fmt
+let sql_error = Select_plan.sql_error
 
 (* ------------------------------------------------------------------ *)
 (* Environment                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* One FROM item bound to its current row during join iteration. *)
-type binding = {
+type binding = Select_plan.binding = {
   b_alias : string;  (* lowercase *)
   b_cols : string array;  (* lowercase column names *)
   mutable b_row : Value.t array;
-}
-
-(* A base-table FROM item.  Keeping the table handle (rather than an
-   eagerly materialized row list) lets the join loop route period-overlap
-   conjuncts through the table's interval index; [sc_rows] is the
-   conventional transaction-time-filtered full scan, forced only when no
-   index path applies, and [sc_tt_filter] is the exact transaction-time
-   predicate re-applied to index candidates. *)
-type scan = {
-  sc_table : Table.t;
-  sc_rows : Value.t array list Lazy.t;
-  sc_tt_filter : (Value.t array -> bool) option;
 }
 
 type cursor_state = {
@@ -58,7 +46,7 @@ type scope = {
    timestamped rows (nonsequenced).  Transaction time is system-
    maintained, so this is an execution-environment concern rather than
    a source-to-source one. *)
-type tt_mode = [ `Current | `Asof of Date.t | `All ]
+type tt_mode = Select_plan.tt_mode
 
 type env = {
   cat : Catalog.t;
@@ -637,7 +625,7 @@ and eval_table_ref env (tr : table_ref) :
     string
     * string array
     * [ `Rows of Value.t array list
-      | `Scan of scan
+      | `Scan of Table.t
       | `Lateral of expr list * string
       | `Lateral_sub of query ]
     =
@@ -660,53 +648,7 @@ and eval_table_ref env (tr : table_ref) :
   | Tref (name, alias) -> (
       let alias = Option.value alias ~default:name in
       match Database.find_table env.cat.Catalog.db name with
-      | Some t ->
-          let schema = Table.schema t in
-          let cols =
-            Array.of_list
-              (List.map
-                 (fun c -> String.lowercase_ascii c.Schema.col_name)
-                 schema.Schema.columns)
-          in
-          (* Transaction-time filtering is system-enforced at the scan.
-             When the interval index is enabled, the AS OF / CURRENT
-             filters become stabbing queries on the (tt_begin, tt_end)
-             pair; candidates are still re-checked by the exact
-             predicate, so results match the filtered full scan. *)
-          let tt_filter =
-            if not schema.Schema.transaction then None
-            else
-              let bi = Schema.tt_begin_index schema
-              and ei = Schema.tt_end_index schema in
-              match env.tt_mode with
-              | `All -> None
-              | `Current ->
-                  Some
-                    (fun (r : Value.t array) ->
-                      Value.to_date_exn r.(ei) = Date.forever)
-              | `Asof d ->
-                  Some
-                    (fun (r : Value.t array) ->
-                      Value.to_date_exn r.(bi) <= d
-                      && d < Value.to_date_exn r.(ei))
-          in
-          let sc_rows =
-            lazy
-              (match tt_filter with
-              | None -> Table.to_list t
-              | Some p ->
-                  if env.cat.Catalog.options.Catalog.temporal_index then
-                    let bi = Schema.tt_begin_index schema
-                    and ei = Schema.tt_end_index schema in
-                    let begin_, end_ =
-                      match env.tt_mode with
-                      | `Asof d -> (d, d + 1)
-                      | _ -> (Date.forever - 1, max_int)
-                    in
-                    List.filter p (Table.overlapping t ~bi ~ei ~begin_ ~end_)
-                  else List.filter p (Table.to_list t))
-          in
-          (alias, cols, `Scan { sc_table = t; sc_rows; sc_tt_filter = tt_filter })
+      | Some t -> (alias, Select_plan.columns (Table.schema t), `Scan t)
       | None -> (
           match Catalog.find_view env.cat name with
           | Some q -> try_materialize alias q
@@ -804,573 +746,103 @@ and eval_select env (s : select) : Result_set.t =
         eval_select_interp env s
 
 and eval_select_interp env (s : select) : Result_set.t =
-  (* Flatten explicit joins: inner-join ON conditions become ordinary
-     conjuncts; a left join marks its right side with the ON condition
-     so the join loop can null-extend unmatched combinations. *)
-  let rec flatten_from (tr : table_ref) :
-      (table_ref * expr option (* left-join ON *)) list * expr list =
-    match tr with
-    | Tjoin (l, Jinner, r, on) ->
-        let ul, cl = flatten_from l in
-        let ur, cr = flatten_from r in
-        (ul @ ur, cl @ cr @ [ on ])
-    | Tjoin (l, Jleft, r, on) ->
-        let ul, cl = flatten_from l in
-        (match r with
-        | Tjoin _ ->
-            sql_error "a nested join on the right of a LEFT JOIN is not supported"
-        | _ -> ());
-        (ul @ [ (r, Some on) ], cl)
-    | _ -> ([ (tr, None) ], [])
+  let from, join_conjuncts = Select_plan.flatten s in
+  let resolved = List.map (fun (tr, on) -> (eval_table_ref env tr, on)) from in
+  let plan =
+    Select_plan.plan env.cat.Catalog.options s join_conjuncts
+      (List.map
+         (fun ((alias, cols, src), on) ->
+           let kind =
+             match src with
+             | `Scan t -> Select_plan.Base (Table.schema t)
+             | `Rows _ -> Select_plan.Derived
+             | `Lateral _ | `Lateral_sub _ -> Select_plan.Lateral
+           in
+           { Select_plan.alias = String.lowercase_ascii alias; cols; kind; on })
+         resolved)
   in
-  let flat_from, join_conjuncts =
-    List.fold_left
-      (fun (us, cs) tr ->
-        let u, c = flatten_from tr in
-        (us @ u, cs @ c))
-      ([], []) s.from
+  let srcs = Array.of_list (List.map (fun ((_, _, src), _) -> src) resolved) in
+  (* Base-table rows and hash indexes are built at most once per
+     evaluation; lateral sources re-evaluate at every outer row. *)
+  let scanned = Array.map (fun _ -> None) srcs in
+  let hashed = Array.map (fun _ -> None) srcs in
+  let rows i =
+    match srcs.(i) with
+    | `Rows rows -> rows
+    | `Scan t -> (
+        match scanned.(i) with
+        | Some rows -> rows
+        | None ->
+            let rows =
+              Select_plan.base_rows
+                ~temporal_index:env.cat.Catalog.options.Catalog.temporal_index
+                env.tt_mode t
+            in
+            scanned.(i) <- Some rows;
+            rows)
+    | `Lateral (args, fname) ->
+        let argv = List.map (eval_expr env) args in
+        if List.exists Value.is_null argv then []
+        else (invoke_table_function env fname argv).Result_set.rows
+    | `Lateral_sub q -> (eval_query env q).Result_set.rows
   in
-  let sources =
-    List.map (fun (tr, on) -> (eval_table_ref env tr, on)) flat_from
-  in
-  let bindings =
-    List.map
-      (fun (((alias, cols, _), _) : _ * expr option) ->
-        { b_alias = String.lowercase_ascii alias; b_cols = cols; b_row = [||] })
-      sources
-  in
-  let n = List.length sources in
-  let bindings_arr = Array.of_list bindings in
-  let sources_arr = Array.of_list sources in
-  let local_aliases = List.map (fun b -> b.b_alias) bindings in
-  (* Split WHERE into conjuncts and assign each to the earliest join level
-     at which all its locally-referenced aliases are bound. *)
-  let conjuncts =
-    let rec split = function
-      | Binop (And, a, b) -> split a @ split b
-      | e -> [ e ]
-    in
-    join_conjuncts
-    @ (match s.where with None -> [] | Some w -> split w)
-  in
-  let alias_level =
-    List.mapi (fun i a -> (a, i)) local_aliases
-  in
-  (* Which local aliases does an expression reference?  An unqualified
-     column counts for the first local source that has the column. *)
-  let rec expr_aliases acc (e : expr) =
-    match e with
-    | Col (Some q, _) -> (
-        let lq = String.lowercase_ascii q in
-        match List.assoc_opt lq alias_level with
-        | Some lvl -> lvl :: acc
-        | None -> acc)
-    | Col (None, c) -> (
-        let lc = String.lowercase_ascii c in
-        let found =
-          List.find_opt
-            (fun b -> Array.exists (fun col -> col = lc) b.b_cols)
-            bindings
-        in
-        match found with
-        | Some b -> (List.assoc b.b_alias alias_level) :: acc
-        | None -> acc)
-    | _ ->
-        let acc =
-          fold_expr_queries
-            (fun acc q ->
-              (* Subqueries may correlate with local aliases. *)
-              List.fold_left
-                (fun acc sel ->
-                  let refs = collect_col_refs sel in
-                  List.fold_left
-                    (fun acc r ->
-                      match r with
-                      | Some q, _ -> (
-                          match
-                            List.assoc_opt (String.lowercase_ascii q) alias_level
-                          with
-                          | Some lvl -> lvl :: acc
-                          | None -> acc)
-                      | None, _ -> acc)
-                    acc refs)
-                acc (query_selects q))
-            acc e
-        in
-        shallow_fold_expr expr_aliases acc e
-  and shallow_fold_expr f acc e =
-    match e with
-    | Lit _ | Col _ -> acc
-    | Binop (_, a, b) -> f (f acc a) b
-    | Unop (_, a) | Cast (a, _) | Is_null (a, _) -> f acc a
-    | Fun_call (_, args) -> List.fold_left f acc args
-    | Agg (_, _, Some a) -> f acc a
-    | Agg (_, _, None) -> acc
-    | Case c ->
-        let acc = match c.case_operand with Some e -> f acc e | None -> acc in
-        let acc =
-          List.fold_left (fun acc (w, t) -> f (f acc w) t) acc c.case_branches
-        in
-        (match c.case_else with Some e -> f acc e | None -> acc)
-    | Exists _ | Scalar_subquery _ -> acc
-    | In_pred (e, In_list es, _) -> List.fold_left f (f acc e) es
-    | In_pred (e, In_query _, _) -> f acc e
-    | Between (a, b, c, _) -> f (f (f acc a) b) c
-    | Like (a, b, _) -> f (f acc a) b
-  in
-  let conjunct_level e =
-    match expr_aliases [] e with [] -> 0 | ls -> List.fold_left max 0 ls
-  in
-  let has_fun_call e =
-    fold_expr_funcalls
-      (fun acc name _ -> acc || not (Builtins.is_builtin name))
-      false e
-  in
-  let level_conjuncts =
-    Array.make (max n 1) ([] : expr list)
-  in
-  List.iter
-    (fun c ->
-      let lvl = conjunct_level c in
-      level_conjuncts.(lvl) <- c :: level_conjuncts.(lvl))
-    conjuncts;
-  (* Cheap conjuncts (no stored-function calls) run first at each level. *)
-  Array.iteri
-    (fun i cs ->
-      let cheap, costly = List.partition (fun c -> not (has_fun_call c)) cs in
-      level_conjuncts.(i) <- cheap @ costly)
-    level_conjuncts;
-  (* Which (lowercase) column of source [i] does [e] name, if any?  An
-     unqualified column must belong to source i and no other source. *)
-  let col_of_source i =
-    let b = bindings_arr.(i) in
-    function
-    | Col (Some q, c) when String.lowercase_ascii q = b.b_alias ->
-        let lc = String.lowercase_ascii c in
-        if Array.exists (fun col -> col = lc) b.b_cols then Some lc else None
-    | Col (None, c) ->
-        let lc = String.lowercase_ascii c in
-        if
-          Array.exists (fun col -> col = lc) b.b_cols
-          && not
-               (List.exists
-                  (fun b' ->
-                    b'.b_alias <> b.b_alias
-                    && Array.exists (fun col -> col = lc) b'.b_cols)
-                  bindings)
-        then Some lc
-        else None
-    | _ -> None
-  in
-  let bound_before i e =
-    List.for_all (fun lvl -> lvl < i) (expr_aliases [] e)
-  in
-  (* Hash-join detection: at level i, a conjunct of the form
-     col_of_source_i = expr_bound_earlier lets us index source i. *)
-  let find_hash_key i =
-    let col_of_i = col_of_source i in
-    let bound_elsewhere = bound_before i in
-    let rec scan = function
-      | [] -> None
-      | c :: rest -> (
-          match c with
-          | Binop (Eq, a, bb) -> (
-              match (col_of_i a, bound_elsewhere bb) with
-              | Some col, true -> Some (col, bb, c)
-              | _ -> (
-                  match (col_of_i bb, bound_elsewhere a) with
-                  | Some col, true -> Some (col, a, c)
-                  | _ -> scan rest))
-          | _ -> scan rest)
-    in
-    scan level_conjuncts.(i)
-  in
-  let hash_plans = Array.init (max n 1) (fun i -> if i < n then find_hash_key i else None) in
-  (* Build the hash index lazily per source. *)
-  let hash_indexes :
-      (Value.t, Value.t array list) Hashtbl.t option array =
-    Array.make (max n 1) None
-  in
-  let get_index i col rows =
-    match hash_indexes.(i) with
+  let hash i ci =
+    match hashed.(i) with
     | Some h -> h
     | None ->
-        let b = bindings_arr.(i) in
-        let ci =
-          let rec go j = if b.b_cols.(j) = col then j else go (j + 1) in
-          go 0
-        in
-        let h = Hashtbl.create 256 in
-        List.iter
-          (fun (r : Value.t array) ->
-            let k = r.(ci) in
-            if not (Value.is_null k) then
-              Hashtbl.replace h k
-                (r :: (Option.value (Hashtbl.find_opt h k) ~default:[])))
-          rows;
-        hash_indexes.(i) <- Some h;
+        let h = Select_plan.hash_rows ci (rows i) in
+        hashed.(i) <- Some h;
         h
   in
-  (* Period-overlap scan detection: at level i over a temporal base
-     table, range conjuncts on begin_time/end_time whose other side is
-     bound earlier describe a window [l, u) that every surviving row
-     must overlap; the table's interval index then yields the candidate
-     set in O(log n + k) instead of a full scan.  The conjuncts are
-     never marked satisfied — every candidate is still checked exactly —
-     so the index only has to return a superset, which makes NULLs,
-     non-date timestamps and empty periods trivially correct. *)
-  let find_period_plan i =
-    let (_, _, src), left_on = sources_arr.(i) in
-    match src with
-    | `Scan sc when (Table.schema sc.sc_table).Schema.temporal ->
-        let schema = Table.schema sc.sc_table in
-        let which e =
-          match col_of_source i e with
-          | Some lc when lc = Schema.begin_time_col -> Some `Begin
-          | Some lc when lc = Schema.end_time_col -> Some `End
-          | _ -> None
-        in
-        (* A usable bound must be computable before source i is bound
-           and side-effect free (it is evaluated once per scan rather
-           than once per row). *)
-        let usable e = bound_before i e && not (has_fun_call e) in
-        (* Upper bounds u: begin_time < u.  Lower bounds l: end_time > l.
-           Each entry is (bound expr, inclusive, source conjunct, exact):
-           inclusive comparisons are widened by one day when evaluated;
-           [exact] marks conjuncts the window implies outright (every
-           comparison except Eq, whose other half the window cannot
-           carry), letting the scan skip their per-row re-check when the
-           index has no residual rows. *)
-        let ubs = ref [] and lbs = ref [] in
-        let consider c =
-          match c with
-          | Binop (op, x, y) -> (
-              match (which x, which y) with
-              | Some side, None when usable y -> (
-                  match (side, op) with
-                  | `Begin, Le -> ubs := (y, true, c, true) :: !ubs
-                  | `Begin, Eq -> ubs := (y, true, c, false) :: !ubs
-                  | `Begin, Lt -> ubs := (y, false, c, true) :: !ubs
-                  | `End, Ge -> lbs := (y, true, c, true) :: !lbs
-                  | `End, Eq -> lbs := (y, true, c, false) :: !lbs
-                  | `End, Gt -> lbs := (y, false, c, true) :: !lbs
-                  | _ -> ())
-              | None, Some side when usable x -> (
-                  match (side, op) with
-                  | `Begin, Ge -> ubs := (x, true, c, true) :: !ubs
-                  | `Begin, Eq -> ubs := (x, true, c, false) :: !ubs
-                  | `Begin, Gt -> ubs := (x, false, c, true) :: !ubs
-                  | `End, Le -> lbs := (x, true, c, true) :: !lbs
-                  | `End, Eq -> lbs := (x, true, c, false) :: !lbs
-                  | `End, Lt -> lbs := (x, false, c, true) :: !lbs
-                  | _ -> ())
-              | _ -> ())
-          | _ -> ()
-        in
-        let conjuncts =
-          match left_on with
-          | None -> level_conjuncts.(i)
-          | Some on ->
-              (* LEFT JOIN: matches are selected by the ON condition. *)
-              let rec split = function
-                | Binop (And, a, b) -> split a @ split b
-                | e -> [ e ]
-              in
-              split on
-        in
-        List.iter consider conjuncts;
-        if !ubs = [] && !lbs = [] then None
-        else
-          Some (sc, Schema.begin_index schema, Schema.end_index schema, !ubs, !lbs)
-    | _ -> None
+  let base i =
+    match srcs.(i) with
+    | `Scan t -> Some (t, Select_plan.tt_filter (Table.schema t) env.tt_mode)
+    | `Rows _ | `Lateral _ | `Lateral_sub _ -> None
   in
-  let period_plans =
-    Array.init (max n 1) (fun i ->
-        if i < n && env.cat.Catalog.options.Catalog.temporal_index then
-          find_period_plan i
-        else None)
-  in
-  (* One plan event per SELECT evaluation: the join order with the
-     statically-chosen access path at each level.  (A period plan can
-     still fall back at runtime on a non-date bound; that shows up as a
-     [scan.residual_fallback] counter.) *)
-  if Trace.enabled env.cat.Catalog.obs && n > 0 then begin
-    let path i =
-      let (_, _, src), left_on = sources_arr.(i) in
-      match src with
-      | `Lateral _ | `Lateral_sub _ -> "lateral"
-      | `Rows _ | `Scan _ -> (
-          match hash_plans.(i) with
-          | Some (col, _, _)
-            when left_on = None && env.cat.Catalog.options.Catalog.hash_joins ->
-              "hash(" ^ col ^ ")"
-          | _ -> if period_plans.(i) <> None then "index" else "full")
-    in
-    let parts =
-      List.init n (fun i -> bindings_arr.(i).b_alias ^ ":" ^ path i)
-    in
-    Trace.event env.cat.Catalog.obs "join" ("order=" ^ String.concat "," parts)
-  end;
-  (* Run level i's period plan, if any: evaluate the bound expressions
-     (declining unless every one yields a DATE) and query the interval
-     index.  Candidates come back in scan order, so downstream results
-     are indistinguishable from a full scan.  The second component is
-     the conjuncts the window already enforces exactly (b < min u_i
-     implies every upper conjunct, e > max l_i every lower one) — valid
-     only when the index has no residual rows, since residuals are
-     returned unchecked. *)
-  let obs = env.cat.Catalog.obs in
-  let period_scan i =
-    match period_plans.(i) with
-    | None -> None
-    | Some (sc, bi, ei, ubs, lbs) -> (
-        let fold init pick adjust bounds =
-          List.fold_left
-            (fun acc (e, incl, _, _) ->
-              match acc with
-              | None -> None
-              | Some v -> (
-                  match eval_expr env e with
-                  | Value.Date d -> Some (pick v (adjust d incl))
-                  | _ -> None))
-            (Some init) bounds
-        in
-        let u = fold max_int min (fun d incl -> if incl then d + 1 else d) ubs in
-        let l = fold min_int max (fun d incl -> if incl then d - 1 else d) lbs in
-        match (l, u) with
-        | Some l, Some u ->
-            let cands =
-              Table.overlapping sc.sc_table ~bi ~ei ~begin_:l ~end_:u
-            in
-            let satisfied =
-              if Table.overlap_residuals sc.sc_table ~bi ~ei = 0 then
-                List.filter_map
-                  (fun (_, _, c, exact) -> if exact then Some c else None)
-                  (ubs @ lbs)
-              else []
-            in
-            if Trace.enabled obs then begin
-              let tname = Table.name sc.sc_table in
-              Trace.count obs "scan.indexed" 1;
-              Trace.count obs ("scan.indexed:" ^ tname) 1;
-              Trace.count obs "rows.probed" (List.length cands);
-              let bound d inf =
-                if d = min_int || d = max_int then inf else Date.to_string d
-              in
-              Trace.event obs "scan"
-                (Printf.sprintf
-                   "indexed table=%s window=(%s,%s) probes=%d elided=%d" tname
-                   (bound l "-inf") (bound u "+inf") (List.length cands)
-                   (List.length satisfied))
-            end;
-            Some
-              ( (match sc.sc_tt_filter with
-                | Some p -> List.filter p cands
-                | None -> cands),
-                satisfied )
-        | _ ->
-            (* A bound did not evaluate to a DATE: fall back to the full
-               scan rather than trust the window. *)
-            if Trace.enabled obs then begin
-              Trace.count obs "scan.residual_fallback" 1;
-              Trace.event obs "scan"
-                (Printf.sprintf "fallback table=%s (non-date bound)"
-                   (Table.name sc.sc_table))
-            end;
-            None)
-  in
-  (* Push the new frame for this SELECT. *)
+  let binds = Select_plan.bindings plan in
+  let bindings = Array.to_list binds in
+  run_select env s plan binds ~value:(eval_expr env)
+    ~pass:(Array.for_all (fun c -> truthy (eval_expr env c)))
+    { Select_plan.rows; hash; base }
+    ~flat_row:(fun () ->
+      let out = eval_projection env s bindings in
+      let keys = List.map (fun (e, _) -> eval_expr env e) s.order_by in
+      Array.of_list (out @ keys))
+
+(* Run [plan]'s join with [binds] pushed as the innermost frame, then
+   finish the joined rows: a grouped query snapshots each for
+   [finish_grouped]; a flat one turns each into its output columns
+   followed by its ORDER BY keys ([flat_row]) for [finish_flat]. *)
+and run_select :
+      'e.
+      env ->
+      select ->
+      'e Select_plan.t ->
+      binding array ->
+      value:('e -> Value.t) ->
+      pass:('e array -> bool) ->
+      Select_plan.access ->
+      flat_row:(unit -> Value.t array) ->
+      Result_set.t =
+ fun env s plan binds ~value ~pass access ~flat_row ->
+  let bindings = Array.to_list binds in
   let saved_frames = env.frames in
   env.frames <- bindings :: env.frames;
   Fun.protect
     ~finally:(fun () -> env.frames <- saved_frames)
     (fun () ->
-      let grouped =
-        s.group_by <> [] || s.having <> None
-        || List.exists
-             (function
-               | Proj_expr (e, _) ->
-                   fold_has_agg e
-               | _ -> false)
-             s.proj
-      in
+      let grouped = plan.Select_plan.grouped in
       let snapshots = ref [] in
       let flat_rows = ref [] in
       let emit () =
         Guard.charge_rows env.guard 1;
         if grouped then
-          (* Snapshot the joined row for later grouping. *)
-          snapshots := Array.map (fun b -> b.b_row) bindings_arr :: !snapshots
-        else begin
-          let out = eval_projection env s bindings in
-          let keys =
-            List.map (fun (e, _) -> eval_order_key env s bindings e) s.order_by
-          in
-          flat_rows := Array.of_list (out @ keys) :: !flat_rows
-        end
+          snapshots := Array.map (fun b -> b.b_row) binds :: !snapshots
+        else flat_rows := flat_row () :: !flat_rows
       in
-      let rec extend i =
-        if i = n then begin
-          (* Constant conjuncts at level 0 were already checked when n>0;
-             when n=0 check them here. *)
-          if n = 0 then begin
-            if List.for_all (fun c -> truthy (eval_expr env c)) level_conjuncts.(0)
-            then emit ()
-          end
-          else emit ()
-        end
-        else begin
-          let (_, _, src), left_on = sources_arr.(i) in
-          let b = bindings_arr.(i) in
-          let all_rows () =
-            match src with
-            | `Rows rows -> rows
-            | `Scan sc -> Lazy.force sc.sc_rows
-            | `Lateral (args, fname) ->
-                let argv = List.map (eval_expr env) args in
-                if List.exists Value.is_null argv then []
-                else (invoke_table_function env fname argv).Result_set.rows
-            | `Lateral_sub q -> (eval_query env q).Result_set.rows
-          in
-          match left_on with
-          | Some on ->
-              (* LEFT JOIN: the ON condition selects matches; when none
-                 match, the right side is null-extended (WHERE-level
-                 conjuncts then apply to the extended row). *)
-              let matched = ref false in
-              (* The ON condition is evaluated whole, so the window's
-                 satisfied conjuncts cannot be elided here. *)
-              let rows =
-                match period_scan i with
-                | Some (cands, _) -> cands
-                | None ->
-                    let rows = all_rows () in
-                    if Trace.enabled obs then begin
-                      Trace.count obs "scan.full" 1;
-                      Trace.count obs "rows.probed" (List.length rows)
-                    end;
-                    rows
-              in
-              List.iter
-                (fun row ->
-                  b.b_row <- row;
-                  if truthy (eval_expr env on) then begin
-                    matched := true;
-                    if
-                      List.for_all
-                        (fun c -> truthy (eval_expr env c))
-                        level_conjuncts.(i)
-                    then begin
-                      Trace.count obs "rows.matched" 1;
-                      extend (i + 1)
-                    end
-                  end)
-                rows;
-              if not !matched then begin
-                b.b_row <- Array.make (Array.length b.b_cols) Value.Null;
-                if
-                  List.for_all
-                    (fun c -> truthy (eval_expr env c))
-                    level_conjuncts.(i)
-                then extend (i + 1)
-              end
-          | None ->
-              (* [satisfied] lists conjuncts already enforced by the
-                 access path — the hash lookup's equality, or the
-                 interval-index window's exact comparisons; lateral
-                 sources always scan. *)
-              let candidate_rows, satisfied =
-                match src with
-                | `Lateral _ | `Lateral_sub _ ->
-                    let rows = all_rows () in
-                    if Trace.enabled obs then begin
-                      Trace.count obs "scan.lateral" 1;
-                      Trace.count obs "rows.probed" (List.length rows)
-                    end;
-                    (rows, [])
-                | `Rows _ | `Scan _ -> (
-                    let hash_plan =
-                      if env.cat.Catalog.options.Catalog.hash_joins then
-                        hash_plans.(i)
-                      else None
-                    in
-                    match hash_plan with
-                    | Some (col, probe, used) ->
-                        let rows =
-                          let k = eval_expr env probe in
-                          if Value.is_null k then []
-                          else
-                            match
-                              Hashtbl.find_opt (get_index i col (all_rows ())) k
-                            with
-                            | Some rs -> rs
-                            | None -> []
-                        in
-                        if Trace.enabled obs then begin
-                          Trace.count obs "scan.hash" 1;
-                          Trace.count obs "rows.probed" (List.length rows)
-                        end;
-                        (rows, [ used ])
-                    | None -> (
-                        match period_scan i with
-                        | Some (cands, sat) -> (cands, sat)
-                        | None ->
-                            let rows = all_rows () in
-                            if Trace.enabled obs then begin
-                              let tname =
-                                match src with
-                                | `Scan sc -> Table.name sc.sc_table
-                                | _ -> b.b_alias
-                              in
-                              Trace.count obs "scan.full" 1;
-                              Trace.count obs ("scan.full:" ^ tname) 1;
-                              Trace.count obs "rows.probed" (List.length rows)
-                            end;
-                            (rows, [])))
-              in
-              let checks =
-                match satisfied with
-                | [] -> level_conjuncts.(i)
-                | sat ->
-                    List.filter
-                      (fun c -> not (List.memq c sat))
-                      level_conjuncts.(i)
-              in
-              if Trace.enabled obs && satisfied <> [] then
-                Trace.count obs "conjuncts.elided" (List.length satisfied);
-              List.iter
-                (fun row ->
-                  b.b_row <- row;
-                  if List.for_all (fun c -> truthy (eval_expr env c)) checks
-                  then begin
-                    Trace.count obs "rows.matched" 1;
-                    extend (i + 1)
-                  end)
-                candidate_rows
-        end
-      in
-      extend 0;
+      Select_plan.run env.cat.Catalog.obs plan binds ~value ~pass access ~emit;
       if grouped then finish_grouped env s bindings (List.rev !snapshots)
       else finish_flat env s (List.rev !flat_rows))
-
-and fold_has_agg e =
-  let rec go = function
-    | Agg _ -> true
-    | Lit _ | Col _ -> false
-    | Binop (_, a, b) -> go a || go b
-    | Unop (_, a) | Cast (a, _) | Is_null (a, _) -> go a
-    | Fun_call (_, args) -> List.exists go args
-    | Case c ->
-        (match c.case_operand with Some e -> go e | None -> false)
-        || List.exists (fun (w, t) -> go w || go t) c.case_branches
-        || (match c.case_else with Some e -> go e | None -> false)
-    | Exists _ | Scalar_subquery _ -> false
-    | In_pred (e, In_list es, _) -> go e || List.exists go es
-    | In_pred (e, In_query _, _) -> go e
-    | Between (a, b, c, _) -> go a || go b || go c
-    | Like (a, b, _) -> go a || go b
-  in
-  go e
 
 (* Output column names for a projection. *)
 and projection_columns env s (bindings : binding list) =
@@ -1407,13 +879,6 @@ and eval_projection env s (bindings : binding list) : Value.t list =
           | None -> sql_error "unknown alias %s.*" q)
       | Proj_expr (e, _) -> [ eval_expr env e ])
     s.proj
-
-and eval_order_key env s bindings e =
-  (* An ORDER BY item that names a projection alias refers to the output;
-     anything else is evaluated in the row context. *)
-  ignore s;
-  ignore bindings;
-  eval_expr env e
 
 and finish_flat env (s : select) rows_with_keys : Result_set.t =
   let nkeys = List.length s.order_by in
@@ -1533,34 +998,6 @@ and finish_grouped env (s : select) bindings snapshots : Result_set.t =
     keys_in_order;
   finish_flat env { s with distinct = s.distinct } (List.rev !out_rows)
   |> fun rs -> { rs with Result_set.cols = cols }
-
-(* Collect (qualifier, column) references of a select block, shallowly. *)
-and collect_col_refs (sel : select) : (string option * string) list =
-  let acc = ref [] in
-  let rec walk (e : expr) =
-    match e with
-    | Col (q, c) -> acc := (q, c) :: !acc
-    | Lit _ -> ()
-    | Binop (_, a, b) -> walk a; walk b
-    | Unop (_, a) | Cast (a, _) | Is_null (a, _) -> walk a
-    | Fun_call (_, args) -> List.iter walk args
-    | Agg (_, _, Some a) -> walk a
-    | Agg (_, _, None) -> ()
-    | Case c ->
-        Option.iter walk c.case_operand;
-        List.iter (fun (w, t) -> walk w; walk t) c.case_branches;
-        Option.iter walk c.case_else
-    | Exists _ | Scalar_subquery _ -> ()
-    | In_pred (e, In_list es, _) -> walk e; List.iter walk es
-    | In_pred (e, In_query _, _) -> walk e
-    | Between (a, b, c, _) -> walk a; walk b; walk c
-    | Like (a, b, _) -> walk a; walk b
-  in
-  List.iter (function Proj_expr (e, _) -> walk e | _ -> ()) sel.proj;
-  Option.iter walk sel.where;
-  List.iter walk sel.group_by;
-  Option.iter walk sel.having;
-  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Routine invocation                                                  *)
@@ -1956,17 +1393,10 @@ and exec_insert env tname cols src : exec_result =
       Affected (List.length rs.Result_set.rows)
 
 and with_table_binding env t f =
-  let schema = Table.schema t in
-  let cols =
-    Array.of_list
-      (List.map
-         (fun c -> String.lowercase_ascii c.Schema.col_name)
-         schema.Schema.columns)
-  in
   let b =
     {
       b_alias = String.lowercase_ascii (Table.name t);
-      b_cols = cols;
+      b_cols = Select_plan.columns (Table.schema t);
       b_row = [||];
     }
   in

@@ -5,7 +5,8 @@
    actually fired (not silently falling back everywhere), checks the
    per-query compiled/interpreted counters, and closes with a qcheck
    property comparing the two evaluators on randomly generated temporal
-   databases seeded with NULL keys and empty ([b, b)) periods. *)
+   databases seeded with NULL keys and empty ([b, b)) periods: equal
+   rows, equal access-path counters and the same [join] events. *)
 
 module Engine = Sqleval.Engine
 module Catalog = Sqleval.Catalog
@@ -122,32 +123,99 @@ let random_engine seed =
   Engine.exec e (Buffer.contents buf) |> ignore;
   e
 
-let random_db_query =
-  "VALIDTIME [DATE '2010-03-01', DATE '2010-06-01') SELECT t.k, lab.name \
-   FROM t, lab WHERE t.g = lab.g AND (t.k < 50 OR t.k IS NULL)"
+(* One query per draw, each aimed at an access path of the shared
+   planner: a hash join over NULL-bearing keys, a LEFT JOIN whose ON
+   carries a period window, a begin_time equality (indexed, never
+   elided; hash joins are off for it, since an equality with a constant
+   side is otherwise a hash probe) and an exact period window (indexed,
+   both comparisons elided).  Returns the query and the [hash_joins]
+   setting to run it under. *)
+let random_db_query seed =
+  let st = Random.State.make [| 0x5ba9e; seed |] in
+  let day () =
+    Date.to_string
+      (Date.add_days (Date.of_ymd ~y:2010 ~m:1 ~d:1) (Random.State.int st 300))
+  in
+  match Random.State.int st 4 with
+  | 0 ->
+      ( "VALIDTIME [DATE '2010-03-01', DATE '2010-06-01') SELECT t.k, \
+         lab.name FROM t, lab WHERE t.g = lab.g AND (t.k < 50 OR t.k IS NULL)",
+        true )
+  | 1 ->
+      ( Printf.sprintf
+          "NONSEQUENCED VALIDTIME SELECT lab.name, t.k FROM lab LEFT JOIN t \
+           ON t.g = lab.g AND t.begin_time < DATE '%s' AND t.end_time > DATE \
+           '%s'"
+          (day ()) (day ()),
+        true )
+  | 2 ->
+      ( Printf.sprintf
+          "NONSEQUENCED VALIDTIME SELECT t.k, t.g FROM t WHERE t.begin_time = \
+           DATE '%s'"
+          (day ()),
+        false )
+  | _ ->
+      ( Printf.sprintf
+          "NONSEQUENCED VALIDTIME SELECT t.k, t.end_time FROM t WHERE \
+           t.begin_time < DATE '%s' AND t.end_time > DATE '%s'"
+          (day ()) (day ()),
+        true )
+
+(* The counters of the planner's access paths: both evaluators run the
+   same join loop, so they must agree on every one. *)
+let access_counters =
+  [
+    "scan.indexed"; "scan.hash"; "scan.full"; "scan.residual_fallback";
+    "rows.probed"; "rows.matched"; "conjuncts.elided";
+  ]
 
 let prop_random_db_equivalence seed =
+  let query, hash_joins = random_db_query seed in
   let answer ~compile ~jobs =
     let e = random_engine seed in
     let cat = Engine.catalog e in
     cat.Catalog.options.Catalog.compile <- compile;
-    rows_of (Stratum.query ~strategy:Stratum.Max ~jobs e random_db_query)
+    cat.Catalog.options.Catalog.hash_joins <- hash_joins;
+    cat.Catalog.options.Catalog.observe <- true;
+    let rows = rows_of (Stratum.query ~strategy:Stratum.Max ~jobs e query) in
+    let tr = Catalog.trace cat in
+    let joins =
+      List.filter_map
+        (fun ev ->
+          if ev.Trace.ev_label = "join" then Some ev.Trace.ev_detail else None)
+        (Trace.events tr)
+    in
+    (rows, List.map (Trace.get_count tr) access_counters, joins,
+     Trace.get_count tr "compile.compiled")
   in
-  let interp = answer ~compile:false ~jobs:1 in
+  let interp, icounts, ijoins, _ = answer ~compile:false ~jobs:1 in
   let check label rows =
     if rows <> interp then
       QCheck.Test.fail_reportf
-        "seed=%d: %s %d row(s) <> interpreted %d row(s)" seed label
-        (List.length rows) (List.length interp)
+        "seed=%d: %s %d row(s) <> interpreted %d row(s)\n%s" seed label
+        (List.length rows) (List.length interp) query
   in
-  check "compiled jobs=1" (answer ~compile:true ~jobs:1);
-  check "compiled jobs=4" (answer ~compile:true ~jobs:4);
+  let rows, counts, joins, compiled = answer ~compile:true ~jobs:1 in
+  check "compiled jobs=1" rows;
+  if compiled = 0 then
+    QCheck.Test.fail_reportf "seed=%d: no SELECT compiled\n%s" seed query;
+  List.iter2
+    (fun (name, i) c ->
+      if c <> i then
+        QCheck.Test.fail_reportf "seed=%d: %s compiled %d <> interpreted %d\n%s"
+          seed name c i query)
+    (List.combine access_counters icounts)
+    counts;
+  if joins <> ijoins then
+    QCheck.Test.fail_reportf "seed=%d: join events differ\n%s" seed query;
+  let rows, _, _, _ = answer ~compile:true ~jobs:4 in
+  check "compiled jobs=4" rows;
   true
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
-      QCheck.Test.make ~count:20
+      QCheck.Test.make ~count:40
         ~name:"random db (NULLs, empty periods): compiled = interpreted"
         QCheck.(make Gen.(int_range 0 9999) ~print:string_of_int)
         prop_random_db_equivalence;

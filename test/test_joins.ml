@@ -93,6 +93,45 @@ let test_join_roundtrip () =
 
 (* ------------------- temporal interplay ------------------- *)
 
+(* A join nested right of a LEFT JOIN is rejected by the planner's FROM
+   flattening, which the interpreter and the plan compiler share: one
+   message whether compilation is on or off.  The parser never nests a
+   join there, so the statement is built as an AST. *)
+let test_nested_left_join_rejected () =
+  let open Sqlast.Ast in
+  Compile.install ();
+  let nested =
+    Tjoin
+      ( Tref ("emp", Some "e"),
+        Jleft,
+        Tjoin
+          ( Tref ("dept", Some "d"),
+            Jinner,
+            Tref ("emp", Some "f"),
+            qcol "f" "dept_id" === qcol "d" "id" ),
+        qcol "e" "dept_id" === qcol "d" "id" )
+  in
+  let stmt =
+    Squery
+      (Select
+         {
+           select_default with
+           proj = [ Proj_expr (qcol "e" "name", None) ];
+           from = [ nested ];
+         })
+  in
+  let message compile =
+    let cat = Engine.catalog (setup ()) in
+    cat.Sqleval.Catalog.options.Sqleval.Catalog.compile <- compile;
+    match Eval.exec_toplevel cat stmt with
+    | exception Eval.Sql_error m -> m
+    | _ -> Alcotest.fail "nested join right of a LEFT JOIN was accepted"
+  in
+  let interpreted = message false in
+  Alcotest.(check string) "interpreted"
+    "a nested join on the right of a LEFT JOIN is not supported" interpreted;
+  Alcotest.(check string) "compiled" interpreted (message true)
+
 let setup_temporal () =
   let e = Engine.create ~now:(d "2010-07-01") () in
   Stratum.install e;
@@ -189,6 +228,8 @@ let suite =
           test_left_join_preserves_unmatched_left_table;
         Alcotest.test_case "join chain" `Quick test_join_chain;
         Alcotest.test_case "pretty/parse roundtrip" `Quick test_join_roundtrip;
+        Alcotest.test_case "nested join right of LEFT JOIN rejected" `Quick
+          test_nested_left_join_rejected;
         Alcotest.test_case "current + inner join" `Quick
           test_current_inner_join_temporal;
         Alcotest.test_case "current + left join" `Quick
