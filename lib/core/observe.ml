@@ -13,7 +13,7 @@ module Eval = Sqleval.Eval
 module RS = Sqleval.Result_set
 
 (* ------------------------------------------------------------------ *)
-(* Metrics: a flat snapshot of the counters the bench JSON carries      *)
+(* Metrics: a flat snapshot of a trace sink's counters                 *)
 (* ------------------------------------------------------------------ *)
 
 type metrics = {
@@ -59,23 +59,6 @@ let metrics_of tr =
 let plan_cache_hit_rate m =
   let total = m.plan_cache_hits + m.plan_cache_misses in
   if total = 0 then 0.0 else float_of_int m.plan_cache_hits /. float_of_int total
-
-(* One flat JSON object; keys are stable — the bench smoke test and
-   future cross-PR comparisons grep for them. *)
-let metrics_to_json m =
-  Printf.sprintf
-    "{\"plan_cache_hits\": %d, \"plan_cache_misses\": %d, \
-     \"plan_cache_hit_rate\": %.3f, \"scans_indexed\": %d, \
-     \"scans_full\": %d, \"scans_hash\": %d, \"residual_fallbacks\": %d, \
-     \"rows_probed\": %d, \"rows_matched\": %d, \"conjuncts_elided\": %d, \
-     \"index_builds\": %d, \"index_rebuilds\": %d, \"routine_calls\": %d, \
-     \"constant_period_calls\": %d, \"constant_periods\": %d, \
-     \"selects_compiled\": %d, \"selects_interpreted\": %d}"
-    m.plan_cache_hits m.plan_cache_misses (plan_cache_hit_rate m)
-    m.scans_indexed m.scans_full m.scans_hash m.residual_fallbacks
-    m.rows_probed m.rows_matched m.conjuncts_elided m.index_builds
-    m.index_rebuilds m.routine_calls m.constant_period_calls
-    m.constant_periods m.selects_compiled m.selects_interpreted
 
 (* ------------------------------------------------------------------ *)
 (* Reports                                                             *)

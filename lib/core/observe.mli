@@ -7,9 +7,8 @@
     estimates and the measured actuals.  The caller's engine is never
     mutated.
 
-    {!metrics} is the flat counter snapshot the benchmark driver embeds
-    per query in its JSON output; its field names match the JSON keys of
-    {!metrics_to_json}.
+    {!metrics} is the flat counter snapshot of a trace sink, which
+    {!report} carries for the observed run.
 
     The span/counter/event taxonomy these reports draw on is documented
     in DESIGN.md §7. *)
@@ -46,10 +45,6 @@ val metrics_of : Trace.t -> metrics
 
 val plan_cache_hit_rate : metrics -> float
 (** hits / (hits + misses); 0.0 when the cache was never consulted. *)
-
-val metrics_to_json : metrics -> string
-(** One flat JSON object with stable keys (including the derived
-    ["plan_cache_hit_rate"]); embedded per query in the bench JSON. *)
 
 (** {1 EXPLAIN} *)
 

@@ -1,6 +1,6 @@
 (* A blocking line-oriented client for the serving protocol.  Used by
-   the CLI `client` subcommand, the bench harness and the tests; also a
-   worked example of the protocol for other implementations. *)
+   the CLI `client` subcommand, the repository benchmark and the tests;
+   also a worked example of the protocol for other implementations. *)
 
 type t = {
   fd : Unix.file_descr;

@@ -82,15 +82,9 @@ and t = {
 (* Evaluator switches, exposed for ablation experiments. *)
 and options = {
   mutable hash_joins : bool;  (* opportunistic equi-join hash indexes *)
-  mutable memoize_table_functions : bool;
-      (* per-statement memoization of table-function results — the
-         mechanism behind PERST's one-call-per-distinct-argument cost *)
   mutable temporal_index : bool;
       (* interval-indexed period-overlap scans of temporal tables:
          O(log n + k) stabbing queries instead of full scans *)
-  mutable plan_caching : bool;
-      (* stratum-level caching of transformed plans, keyed by
-         (statement, strategy) and invalidated on DDL *)
   mutable observe : bool;
       (* execution tracing and metrics (spans, counters, events) into
          {!t.obs}; off by default — when off, instrumentation costs one
@@ -109,15 +103,16 @@ and options = {
   mutable check_constraints : bool;
       (* enforcement of declared temporal integrity constraints
          (TEMPORAL PRIMARY KEY / FOREIGN KEY) at statement commit; off
-         only for benchmark ablations.  Not part of the plan-cache
-         fingerprint: checking happens after execution and never changes
-         a transformed plan *)
+         only in tests.  Not part of the plan-cache fingerprint:
+         checking happens after execution and never changes a
+         transformed plan *)
   mutable memoize_constant_periods : bool;
       (* serve MAX's constant-period prep from the {!Cp_memo} cache
          (incrementally maintained under merge DML) instead of the
          per-statement taupsm_ts rebuild; changes the transformed plan's
          prep shape, so it IS part of the plan-cache fingerprint.  Off
-         by default — the CLI and benches opt in *)
+         by default — the CLI, the repository benchmark and the
+         recovery fuzz opt in *)
   mutable auto_strategy : bool;
       (* when no strategy is forced on a sequenced statement, let the
          stratum choose MAX vs PERST adaptively (§VII-F features, cost
@@ -136,9 +131,7 @@ exception Duplicate_routine of string
 let default_options () =
   {
     hash_joins = true;
-    memoize_table_functions = true;
     temporal_index = true;
-    plan_caching = true;
     observe = false;
     jobs = 1;
     compile = true;
@@ -314,15 +307,14 @@ let find_native_table_fun cat name =
 (* The evaluator options a transformed plan may have been specialized
    under, packed into one integer.  Flipping an option does not bump the
    catalog generation (nothing semantic changed), so without this
-   fingerprint in the validity token the ablation benches — which
-   toggle options on a live engine — could replay a plan built under
-   the old options. *)
+   fingerprint in the validity token an engine whose options are
+   toggled while it runs could replay a plan built under the old
+   options. *)
 let options_fingerprint o =
   (if o.hash_joins then 1 else 0)
-  lor (if o.memoize_table_functions then 2 else 0)
-  lor (if o.temporal_index then 4 else 0)
-  lor (if o.compile then 8 else 0)
-  lor (if o.memoize_constant_periods then 16 else 0)
+  lor (if o.temporal_index then 2 else 0)
+  lor (if o.compile then 4 else 0)
+  lor (if o.memoize_constant_periods then 8 else 0)
 
 (* Validity token: a cached plan holds only as long as no view, routine
    or table definition has changed — and no evaluator option has been
@@ -343,29 +335,25 @@ let cache_token cat =
   (plan_token cat, (Sqldb.Database.temp_epoch cat.db, cat.derived_epoch))
 
 let find_plan cat key =
-  if not cat.options.plan_caching then None
-  else begin
-    let t = trace cat in
-    match Hashtbl.find_opt cat.plan_cache key with
-    | Some (token, plan) when token = cache_token cat ->
-        if Trace.enabled t then begin
-          Trace.count t "plan_cache.hit" 1;
-          Trace.event t "plan-cache" (Printf.sprintf "hit strategy=%s" (fst key))
-        end;
-        Some plan
-    | stale ->
-        if Trace.enabled t then begin
-          Trace.count t "plan_cache.miss" 1;
-          Trace.event t "plan-cache"
-            (Printf.sprintf "miss strategy=%s%s" (fst key)
-               (if stale = None then "" else " (invalidated)"))
-        end;
-        None
-  end
+  let t = trace cat in
+  match Hashtbl.find_opt cat.plan_cache key with
+  | Some (token, plan) when token = cache_token cat ->
+      if Trace.enabled t then begin
+        Trace.count t "plan_cache.hit" 1;
+        Trace.event t "plan-cache" (Printf.sprintf "hit strategy=%s" (fst key))
+      end;
+      Some plan
+  | stale ->
+      if Trace.enabled t then begin
+        Trace.count t "plan_cache.miss" 1;
+        Trace.event t "plan-cache"
+          (Printf.sprintf "miss strategy=%s%s" (fst key)
+             (if stale = None then "" else " (invalidated)"))
+      end;
+      None
 
 let store_plan cat key plan =
-  if cat.options.plan_caching then
-    Hashtbl.replace cat.plan_cache key (cache_token cat, plan)
+  Hashtbl.replace cat.plan_cache key (cache_token cat, plan)
 
 (* Deep copy: storage is copied; views/routines (immutable ASTs) and
    natives (parameterized over the catalog) are shared.  The plan cache

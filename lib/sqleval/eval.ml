@@ -715,14 +715,13 @@ and invoke_table_function env fname argv : Result_set.t =
   match Catalog.find_native_table_fun env.cat fname with
   | Some ntf -> ntf.Catalog.ntf_fn env.cat argv
   | None -> (
-      let memoize = env.cat.Catalog.options.Catalog.memoize_table_functions in
       (* Keyed on the catalog generation so mid-statement DDL that
          redefines a routine orphans every entry computed under the old
          definitions instead of serving stale rows. *)
       let key =
         (env.cat.Catalog.generation, String.lowercase_ascii fname, argv)
       in
-      match if memoize then Hashtbl.find_opt env.tf_cache key else None with
+      match Hashtbl.find_opt env.tf_cache key with
       | Some rs -> rs
       | None ->
           let r =
@@ -731,7 +730,7 @@ and invoke_table_function env fname argv : Result_set.t =
             | None -> sql_error "unknown table function %s" fname
           in
           let rs = invoke_routine_table env r argv in
-          if memoize then Hashtbl.add env.tf_cache key rs;
+          Hashtbl.add env.tf_cache key rs;
           rs)
 
 and eval_select env (s : select) : Result_set.t =

@@ -1,9 +1,10 @@
 (* Adaptive strategy choice (§VII-F made live) and memoized constant
    periods: the Auto chooser's decision ladder (calibrated → explore →
    cost model → heuristic), result equivalence of Auto against both
-   forced strategies, the DDL-invalidation regression for memo and
-   calibration, calibration survival across detach/recover/resume, the
-   qcheck property that incrementally-maintained constant periods are
+   forced strategies and against forced MAX on the 16 τPSM queries,
+   the DDL-invalidation regression for memo and calibration,
+   calibration survival across detach/recover/resume, the qcheck
+   property that incrementally-maintained constant periods are
    identical to full recomputation under a random merge/DML stream, and
    the TEMPORAL MERGE EXPLAIN plan report. *)
 
@@ -18,6 +19,8 @@ module Date = Sqldb.Date
 module Database = Sqldb.Database
 module Stratum = Taupsm.Stratum
 module Observe = Taupsm.Observe
+module Datasets = Taubench.Datasets
+module Queries = Taubench.Queries
 
 let d = Date.of_string_exn
 
@@ -90,6 +93,32 @@ let test_auto_matches_forced () =
   let c = Trace.get_count tr in
   Alcotest.(check int) "every run chose an arm" 2
     (c "strategy.auto.max" + c "strategy.auto.perst")
+
+(* The same equivalence over the 16 τPSM queries on DS1-SMALL with a
+   1-month context: one Auto engine answers them all in turn, so its
+   calibration and memo carry over from query to query. *)
+let test_auto_matches_max_taubench () =
+  let e0 =
+    Datasets.load { Datasets.ds = Datasets.DS1; size = Taupsm.Heuristic.Small }
+  in
+  Queries.install e0;
+  let e_auto = Engine.copy e0 and e_max = Engine.copy e0 in
+  (Engine.catalog e_auto).Catalog.options.Catalog.auto_strategy <- true;
+  let context = (d "2010-06-01", d "2010-07-01") in
+  let coalesced = function
+    | Sqleval.Eval.Rows rs ->
+        List.sort compare (rows_of (Stratum.coalesce_result rs))
+    | _ -> Alcotest.fail "expected rows"
+  in
+  List.iter
+    (fun (q : Queries.t) ->
+      let ts = parse (Queries.sequenced ~context q) in
+      let auto = coalesced (Stratum.exec e_auto ts) in
+      Alcotest.(check (list (list string)))
+        (q.Queries.id ^ ": auto = forced MAX")
+        (coalesced (Stratum.exec ~strategy:Stratum.Max e_max ts))
+        auto)
+    Queries.all
 
 let test_auto_ignores_dml () =
   let e = setup () in
@@ -551,6 +580,8 @@ let suite =
       [
         Alcotest.test_case "auto = forced MAX = forced PERST" `Quick
           test_auto_matches_forced;
+        Alcotest.test_case "16 queries: auto = forced MAX" `Slow
+          test_auto_matches_max_taubench;
         Alcotest.test_case "sequenced DML bypasses the chooser" `Quick
           test_auto_ignores_dml;
         Alcotest.test_case "PERST-inapplicable is never explored" `Quick

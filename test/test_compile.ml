@@ -1,12 +1,13 @@
 (* Plan-compilation tests: closure-compiled evaluation must be
    row-for-row identical to the tree-walking interpreter.  The suite
-   runs the 16 τPSM queries under {compiled, interpreted} × jobs {1, 4}
-   against one interpreted-serial baseline, asserts the compiled path
-   actually fired (not silently falling back everywhere), checks the
-   per-query compiled/interpreted counters, and closes with a qcheck
-   property comparing the two evaluators on randomly generated temporal
-   databases seeded with NULL keys and empty ([b, b)) periods: equal
-   rows, equal access-path counters and the same [join] events. *)
+   runs the 16 τPSM queries compiled at jobs {1, 2, 4} and interpreted
+   at jobs 4 against one interpreted-serial baseline, asserts the
+   compiled path actually fired (not silently falling back everywhere),
+   checks the per-query compiled/interpreted counters, and closes with
+   a qcheck property comparing the two evaluators on randomly generated
+   temporal databases seeded with NULL keys and empty ([b, b))
+   periods: equal rows, equal access-path counters and the same [join]
+   events. *)
 
 module Engine = Sqleval.Engine
 module Catalog = Sqleval.Catalog
@@ -51,7 +52,7 @@ let test_equivalence () =
   let compiled_total = ref 0 in
   List.iter
     (fun q ->
-      (* interpreted serial is the baseline the other three must hit *)
+      (* interpreted serial is the baseline the other four must hit *)
       let cols0, rows0, comp0, _ = run_query ~compile:false ~jobs:1 q in
       Alcotest.(check int)
         (q.Queries.id ^ ": interpreter never counts compiled")
@@ -71,7 +72,7 @@ let test_equivalence () =
           if (not compile) && comp > 0 then
             Alcotest.failf "%s: counted %d compiled SELECT(s)" name comp;
           if compile && jobs = 1 then compiled_total := !compiled_total + comp)
-        [ (true, 1); (false, 4); (true, 4) ])
+        [ (true, 1); (true, 2); (false, 4); (true, 4) ])
     Queries.all;
   (* the compiled path must carry real weight across the suite, not
      punt to the interpreter fallback on every query *)
@@ -227,7 +228,7 @@ let suite =
   [
     ( "compile",
       [
-        Alcotest.test_case "16 queries: {compiled,interp} x jobs {1,4}" `Slow
+        Alcotest.test_case "16 queries: {compiled,interp} x jobs {1,2,4}" `Slow
           test_equivalence;
       ] );
     ("compile-equivalence", qcheck_tests);

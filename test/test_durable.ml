@@ -1,7 +1,8 @@
 (* Durability tests: golden CRC-32 vectors and pinned record bytes (the
    on-disk format is a contract), qcheck round-trips for the WAL codec,
    torn-tail / corrupt-record scan behaviour, crash-point fuzzing with
-   the committed-prefix consistency property, snapshot equivalence
+   the committed-prefix consistency property (a qcheck property and
+   the 300-point recovery fuzz over DS1-DS3), snapshot equivalence
    across the τPSM benchmark queries, snapshot-generation fallback, and
    the monotonic clock guard fix. *)
 
@@ -762,6 +763,228 @@ let test_bad_group_fails_loudly () =
         (Taupsm_error.code_string err.Taupsm_error.code)
 
 (* ------------------------------------------------------------------ *)
+(* Recovery fuzz: seeded crash points across DS1-DS3 workloads        *)
+(* ------------------------------------------------------------------ *)
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter
+      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+      (try Sys.readdir dir with Sys_error _ -> [||]);
+    try Unix.rmdir dir with Unix.Unix_error _ -> ()
+  end
+
+(* Scratch-table DDL, sequenced DML and TEMPORAL MERGE under temporal
+   constraints (valid on any dataset), so crash points also land inside
+   merge plans and constraint checks. *)
+let fuzz_dml =
+  [
+    "CREATE TABLE fuzz_tariff (name VARCHAR(10), pct DOUBLE) WITH VALIDTIME";
+    "VALIDTIME [DATE '2010-01-01', DATE '2011-01-01') INSERT INTO fuzz_tariff \
+     VALUES ('base', 5.0)";
+    "VALIDTIME [DATE '2010-02-01', DATE '2010-06-01') INSERT INTO fuzz_tariff \
+     VALUES ('extra', 2.0)";
+    "CREATE VIEW fuzz_cheap AS SELECT name FROM fuzz_tariff WHERE pct < 3.0";
+    "VALIDTIME [DATE '2010-03-01', DATE '2010-04-01') UPDATE fuzz_tariff SET \
+     pct = 9.9 WHERE name = 'base'";
+    "VALIDTIME [DATE '2010-04-01', DATE '2010-05-01') DELETE FROM fuzz_tariff \
+     WHERE name = 'extra'";
+    "CREATE TABLE fuzz_product (sku VARCHAR(10), name VARCHAR(20)) WITH \
+     VALIDTIME TEMPORAL PRIMARY KEY (sku)";
+    "INSERT INTO fuzz_product (sku, name, begin_time, end_time) VALUES ('a', \
+     'A', DATE '2010-01-01', DATE '9999-12-31'), ('b', 'B', DATE \
+     '2010-01-01', DATE '9999-12-31')";
+    "CREATE TABLE fuzz_stock (sku VARCHAR(10), qty INT) WITH VALIDTIME \
+     TEMPORAL PRIMARY KEY (sku) TEMPORAL FOREIGN KEY (sku) REFERENCES \
+     fuzz_product (sku)";
+    "TEMPORAL MERGE INTO fuzz_stock USING (SELECT 'a' AS sku, 10 AS qty, DATE \
+     '2010-01-01' AS begin_time, DATE '2010-06-01' AS end_time) MODE UPSERT";
+    "TEMPORAL MERGE INTO fuzz_stock USING (SELECT 'a' AS sku, 12 AS qty, DATE \
+     '2010-03-01' AS begin_time, DATE '2010-04-01' AS end_time) MODE PATCH";
+    "TEMPORAL MERGE INTO fuzz_stock USING (SELECT 'b' AS sku, 3 AS qty, DATE \
+     '2010-02-01' AS begin_time, DATE '2010-05-01' AS end_time) MODE REPLACE";
+  ]
+
+(* A bitemporal table written over three transaction days, so crash
+   points land among new versions, closes of versions recorded on an
+   earlier day, in-place rewrites and removals of same-day versions. *)
+let fuzz_ledger =
+  [
+    ( 0,
+      "CREATE TABLE fuzz_ledger (acct VARCHAR(10), bal INT) WITH VALIDTIME AND \
+       TRANSACTIONTIME" );
+    ( 0,
+      "INSERT INTO fuzz_ledger (acct, bal, begin_time, end_time) VALUES ('a', \
+       100, DATE '2010-01-01', DATE '9999-12-31'), ('b', 50, DATE \
+       '2010-01-01', DATE '9999-12-31'), ('c', 7, DATE '2010-01-01', DATE \
+       '9999-12-31')" );
+    ( 1,
+      "VALIDTIME [DATE '2010-03-01', DATE '2010-06-01') UPDATE fuzz_ledger SET \
+       bal = bal + 10 WHERE acct <> 'c'" );
+    (1, "UPDATE fuzz_ledger SET bal = bal * 2 WHERE acct = 'a'");
+    (2, "DELETE FROM fuzz_ledger WHERE acct = 'b'");
+    (2, "UPDATE fuzz_ledger SET bal = 0 WHERE acct = 'c'");
+    (2, "DELETE FROM fuzz_ledger WHERE acct = 'c'");
+  ]
+
+(* (transaction day counted from the dataset's now, statement), ending
+   with benchmark queries over a 1-month context (temp-table churn). *)
+let fuzz_workload qids =
+  let context = (Date.of_ymd ~y:2010 ~m:6 ~d:1, Date.of_ymd ~y:2010 ~m:7 ~d:1) in
+  List.map (fun sql -> (0, sql)) fuzz_dml
+  @ fuzz_ledger
+  @ List.map (fun id -> (2, Queries.sequenced ~context (Queries.find id))) qids
+
+(* On each of DS1-DS3 the workload runs against a durable store whose
+   every write is under a seeded byte budget: 120 + 90 + 90 crash
+   points.  Recovery from each torn directory must reproduce the
+   database exactly as of some committed-statement prefix, and a
+   resumed store must commit on top of it and re-recover to the same
+   state. *)
+let recovery_fuzz ?(jobs = 1) ?compile () =
+  let all_ids = List.map (fun (q : Queries.t) -> q.Queries.id) Queries.all in
+  let plan =
+    [
+      (Datasets.DS1, fuzz_workload all_ids, 120);
+      (Datasets.DS2, fuzz_workload [ "q2"; "q5"; "q8"; "q11"; "q17"; "q19" ],
+       90);
+      (Datasets.DS3, fuzz_workload [ "q3"; "q6"; "q9"; "q14"; "q17b"; "q20" ],
+       90);
+    ]
+  in
+  let policy = Wal.Batch 8 and snapshot_every = 8 in
+  let violations = ref [] and trials = ref 0 in
+  let violation fmt =
+    Printf.ksprintf (fun m -> violations := m :: !violations) fmt
+  in
+  List.iter
+    (fun (ds, workload, n_points) ->
+      let name = Datasets.ds_to_string ds in
+      let base = Datasets.load { Datasets.ds; size = Taupsm.Heuristic.Small } in
+      Queries.install base;
+      let opts = (Engine.catalog base).Sqleval.Catalog.options in
+      opts.Sqleval.Catalog.jobs <- jobs;
+      Option.iter (fun c -> opts.Sqleval.Catalog.compile <- c) compile;
+      (* Auto strategy + memoized constant periods: each query records a
+         calibration entry, so every leg's WAL carries aux records and
+         crash points land inside and around them.  Each statement runs
+         once per leg, so no arm reaches the measured state and every
+         choice stays a pure function of (statement, catalog): the legs
+         remain deterministic replicas. *)
+      opts.Sqleval.Catalog.auto_strategy <- true;
+      opts.Sqleval.Catalog.memoize_constant_periods <- true;
+      let run_step e (day, sql) =
+        Engine.set_now e (Date.add_days (Engine.now base) day);
+        ignore (Stratum.exec_sql e sql)
+      in
+      (* golden run: prefix states keyed by commit serial *)
+      let golden_dir = tmp_dir "fuzz_gold" in
+      let e = Engine.copy base in
+      let h = Persist.attach ~policy ~snapshot_every ~dir:golden_dir e in
+      let prefixes = Hashtbl.create 64 in
+      let record () =
+        Hashtbl.replace prefixes
+          (Store.serial (Persist.store h))
+          (Database.copy (Engine.database e))
+      in
+      record ();
+      List.iter
+        (fun step ->
+          run_step e step;
+          record ())
+        workload;
+      Persist.detach h;
+      rm_rf golden_dir;
+      (* total durable bytes, via a huge armed budget that never fires *)
+      let total =
+        let big = 1 lsl 30 in
+        Fault.arm_crash ~at_bytes:big;
+        let dir = tmp_dir "fuzz_measure" in
+        let e = Engine.copy base in
+        let h = Persist.attach ~policy ~snapshot_every ~dir e in
+        List.iter (run_step e) workload;
+        Persist.detach h;
+        rm_rf dir;
+        let remaining = Option.value ~default:0 (Fault.crash_armed ()) in
+        Fault.disarm_crash ();
+        big - remaining
+      in
+      let rng = Random.State.make [| 0x7a5; Hashtbl.hash ds |] in
+      for _ = 1 to n_points do
+        incr trials;
+        let at_bytes = Random.State.int rng total in
+        let dir = tmp_dir "fuzz" in
+        Fault.arm_crash ~at_bytes;
+        let crashed_in_attach = ref false in
+        (try
+           let e = Engine.copy base in
+           let h =
+             try Persist.attach ~policy ~snapshot_every ~dir e
+             with Fault.Crash _ ->
+               crashed_in_attach := true;
+               raise Exit
+           in
+           (try List.iter (run_step e) workload with Fault.Crash _ -> ());
+           (* detach flushes dirty aux records (calibration), so the
+              budget can fire here too: a crash during the final flush,
+              validated like any other *)
+           try
+             if not (Store.is_dead (Persist.store h)) then Persist.detach h
+           with Fault.Crash _ -> ()
+         with Exit -> ());
+        Fault.disarm_crash ();
+        (* a crash before the first snapshot landed is durably nothing *)
+        if not (!crashed_in_attach && not (Store.exists dir)) then begin
+          match Persist.recover ~dir () with
+          | exception exn ->
+              violation "%s crash@%d: recovery raised %s" name at_bytes
+                (Printexc.to_string exn)
+          | e', report -> (
+              let s = report.Store.last_serial in
+              match Hashtbl.find_opt prefixes s with
+              | None ->
+                  violation "%s crash@%d: serial %d is not a committed prefix"
+                    name at_bytes s
+              | Some g -> (
+                  match Resilient.db_diff g (Engine.database e') with
+                  | Some diff ->
+                      violation "%s crash@%d serial=%d: %s" name at_bytes s diff
+                  | None -> (
+                      (* second leg, crash -> recover -> resume -> commit ->
+                         recover: resume must not keep intact-but-
+                         uncommitted orphan records past the last commit
+                         marker, or the probe's marker would adopt them *)
+                      match
+                        Stratum.install e';
+                        let h' =
+                          Persist.resume ~policy ~snapshot_every ~dir e' report
+                        in
+                        List.iter
+                          (fun sql -> ignore (Stratum.exec_sql e' sql))
+                          [
+                            "CREATE TABLE fuzz_probe (x INT)";
+                            "INSERT INTO fuzz_probe VALUES (1)";
+                          ];
+                        Persist.detach h';
+                        let e'', _ = Persist.recover ~dir () in
+                        Resilient.db_diff (Engine.database e')
+                          (Engine.database e'')
+                      with
+                      | None -> ()
+                      | Some diff ->
+                          violation "%s crash@%d: resume leg diverges: %s" name
+                            at_bytes diff
+                      | exception exn ->
+                          violation "%s crash@%d: resume leg raised %s" name
+                            at_bytes (Printexc.to_string exn))))
+        end;
+        rm_rf dir
+      done)
+    plan;
+  Alcotest.(check int) "crash points" 300 !trials;
+  Alcotest.(check (list string)) "prefix violations" [] (List.rev !violations)
+
+(* ------------------------------------------------------------------ *)
 (* Monotonic clock                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -827,6 +1050,13 @@ let suite =
           test_bad_group_fails_loudly;
         Alcotest.test_case "snapshot equivalence (16 queries)" `Slow
           test_snapshot_equivalence_queries;
+        Alcotest.test_case "recovery fuzz (default): 300 crash points" `Slow
+          (fun () -> recovery_fuzz ());
+        Alcotest.test_case "recovery fuzz (jobs 4): 300 crash points" `Slow
+          (fun () -> recovery_fuzz ~jobs:4 ());
+        Alcotest.test_case "recovery fuzz (interpreted): 300 crash points"
+          `Slow
+          (fun () -> recovery_fuzz ~compile:false ());
       ]
       @ crash_qcheck_tests );
     ( "durable-clock",

@@ -4,7 +4,8 @@
    docs/merge_semantics.md; the qcheck property checks that merging and
    then reading the table at any instant equals applying the source
    snapshot-wise; constraint tests assert typed errors and clean
-   rollback (empty db_diff), including under seeded faults. *)
+   rollback (empty db_diff), including under seeded faults; a 200-SKU
+   merge must equal the sequenced UPDATEs it replaces. *)
 
 open Sqlast.Ast
 module P = Sqlparse.Parser
@@ -792,6 +793,62 @@ let test_aligned_periods () =
                  (if i = n - 1 then "2009-06-01" else "2023-03-01")
                  "2023-06-01"))))
 
+(* ------------------------------------------------------------------ *)
+(* A merge = the sequenced UPDATEs it replaces                         *)
+(* ------------------------------------------------------------------ *)
+
+(* 200 SKUs under temporal PK/FK and a staging feed holding one
+   mid-window correction per SKU: one UPSERT of the whole feed must
+   leave [stock] exactly as 200 hand-written sequenced UPDATEs do. *)
+let test_merge_equals_sequenced_updates () =
+  let n = 200 in
+  let sku i = Printf.sprintf "sku%03d" i in
+  let values f = String.concat ", " (List.init n f) in
+  let e0 = Engine.create ~now:(d "2010-06-01") () in
+  Stratum.install e0;
+  Engine.exec_script e0
+    ("CREATE TABLE product (sku VARCHAR(10), name VARCHAR(30)) WITH \
+      VALIDTIME TEMPORAL PRIMARY KEY (sku);\n\
+      CREATE TABLE stock (sku VARCHAR(10), qty INT, note VARCHAR(20)) WITH \
+      VALIDTIME TEMPORAL PRIMARY KEY (sku) TEMPORAL FOREIGN KEY (sku) \
+      REFERENCES product (sku);\n\
+      CREATE TABLE feed (sku VARCHAR(10), qty INT, note VARCHAR(20), \
+      begin_time DATE, end_time DATE);\n\
+      INSERT INTO product (sku, name, begin_time, end_time) VALUES "
+    ^ values (fun i ->
+          Printf.sprintf "('%s', 'P%d', DATE '2010-01-01', DATE '9999-12-31')"
+            (sku i) i)
+    ^ ";\nINSERT INTO stock (sku, qty, note, begin_time, end_time) VALUES "
+    ^ values (fun i ->
+          Printf.sprintf
+            "('%s', %d, 'load', DATE '2010-01-01', DATE '9999-12-31')" (sku i)
+            (i mod 50))
+    ^ ";\nINSERT INTO feed VALUES "
+    ^ values (fun i ->
+          Printf.sprintf
+            "('%s', %d, 'fix', DATE '2010-03-01', DATE '2010-04-01')" (sku i)
+            ((i + 7) mod 50)));
+  let stock_state e =
+    rows_of
+      (Stratum.query e
+         "NONSEQUENCED VALIDTIME SELECT sku, qty, note, begin_time, end_time \
+          FROM stock ORDER BY sku, begin_time, end_time")
+  in
+  let merged = Engine.copy e0 and updated = Engine.copy e0 in
+  ignore
+    (Stratum.exec_sql merged "TEMPORAL MERGE INTO stock USING feed MODE UPSERT");
+  for i = 0 to n - 1 do
+    ignore
+      (Stratum.exec_sql updated
+         (Printf.sprintf
+            "VALIDTIME [DATE '2010-03-01', DATE '2010-04-01') UPDATE stock \
+             SET qty = %d, note = 'fix' WHERE sku = '%s'"
+            ((i + 7) mod 50) (sku i)))
+  done;
+  let expected = stock_state updated in
+  Alcotest.(check int) "three periods per SKU" (3 * n) (List.length expected);
+  check_rows "merge = sequenced UPDATEs" expected (stock_state merged)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -842,6 +899,8 @@ let suite =
           `Quick test_rows_examined_scale_free;
         Alcotest.test_case "aligned periods: large merge stays linear" `Quick
           test_aligned_periods;
+        Alcotest.test_case "200-SKU merge = 200 sequenced UPDATEs" `Quick
+          test_merge_equals_sequenced_updates;
       ]
       @ qcheck_tests );
   ]

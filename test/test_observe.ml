@@ -166,11 +166,7 @@ let test_plan_cache_counters () =
   Alcotest.(check int) "metrics misses" 1 m.Observe.plan_cache_misses;
   Alcotest.(check (float 1e-9))
     "hit rate" 0.5
-    (Observe.plan_cache_hit_rate m);
-  Alcotest.(check bool)
-    "json carries the hit rate" true
-    (Astring.String.is_infix ~affix:"\"plan_cache_hit_rate\": 0.500"
-       (Observe.metrics_to_json m))
+    (Observe.plan_cache_hit_rate m)
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN goldens                                                     *)

@@ -2,7 +2,9 @@
    typed error and a clean rollback), the qcheck atomicity property
    (seeded fault × τPSM query ⇒ pre/post database equality), the
    inject-then-rollback-then-query staleness regression for the plan
-   cache and interval index, and PERST→MAX graceful degradation. *)
+   cache and interval index, PERST→MAX graceful degradation, and the
+   exhaustive fault sweep over seeds 0-7 × 16 queries × both
+   strategies. *)
 
 module Engine = Sqleval.Engine
 module Eval = Sqleval.Eval
@@ -289,6 +291,92 @@ let qcheck_tests =
         arb_fault_case prop_atomic_under_fault;
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Fault sweep: seeds 0-7 × 16 queries × both strategies               *)
+(* ------------------------------------------------------------------ *)
+
+(* The exhaustive companion of the property above, over a 1-month
+   context: every seeded fault must surface typed and leave the
+   database bit-identical, and a fault mid-PERST with fallback on must
+   still produce MAX's clean answer. *)
+let test_fault_sweep () =
+  let context = (Date.of_ymd ~y:2010 ~m:6 ~d:1, Date.of_ymd ~y:2010 ~m:7 ~d:1) in
+  let e0 = load_fresh () in
+  Queries.install e0;
+  let violations = ref [] and runs = ref 0 in
+  let violation fmt =
+    Printf.ksprintf (fun m -> violations := m :: !violations) fmt
+  in
+  List.iter
+    (fun (q : Queries.t) ->
+      let sql = Queries.sequenced ~context q in
+      List.iter
+        (fun strategy ->
+          if strategy = Stratum.Max || q.Queries.perst_supported then
+            for seed = 0 to 7 do
+              incr runs;
+              let e = Engine.copy e0 in
+              let pre = Database.copy (Engine.database e) in
+              Fault.arm_seeded ~seed;
+              (match Stratum.exec_sql ~strategy e sql with
+              | _ -> ()
+              | exception exn -> (
+                  let te = Resilient.classify exn in
+                  let tag =
+                    Printf.sprintf "%s/%s seed=%d" q.Queries.id
+                      (Stratum.strategy_to_string strategy)
+                      seed
+                  in
+                  if not (Fault.fired ()) then
+                    violation "UNTYPED/UNEXPECTED %s: %s" tag (TE.to_string te);
+                  match Resilient.db_diff pre (Engine.database e) with
+                  | None -> ()
+                  | Some diff -> violation "NOT ATOMIC %s: %s" tag diff));
+              Fault.disarm ()
+            done)
+        [ Stratum.Max; Stratum.Perst ])
+    Queries.all;
+  let fallbacks = ref 0 in
+  List.iter
+    (fun (q : Queries.t) ->
+      if q.Queries.perst_supported then begin
+        let sql = Queries.sequenced ~context q in
+        let clean_max =
+          match Stratum.exec_sql ~strategy:Stratum.Max (Engine.copy e0) sql with
+          | Eval.Rows rs -> Some rs.RS.rows
+          | _ -> None
+        in
+        let e = Engine.copy e0 in
+        (Engine.guards e).Guard.fallback_to_max <- true;
+        Fault.arm ~site:Fault.Routine_call ~countdown:1;
+        (match Stratum.exec_sql ~strategy:Stratum.Perst e sql with
+        | Eval.Rows rs ->
+            incr fallbacks;
+            let same =
+              match clean_max with
+              | Some rows ->
+                  List.length rows = List.length rs.RS.rows
+                  && List.for_all2 (Array.for_all2 Value.equal) rows rs.RS.rows
+              | None -> false
+            in
+            if not same then violation "FALLBACK MISMATCH %s" q.Queries.id
+        | _ -> ()
+        | exception exn ->
+            violation "FALLBACK RAISED %s: %s" q.Queries.id
+              (Printexc.to_string exn));
+        Fault.disarm ()
+      end)
+    Queries.all;
+  let perst_queries =
+    List.length (List.filter (fun q -> q.Queries.perst_supported) Queries.all)
+  in
+  Alcotest.(check int) "8 seeds x every (query, strategy)"
+    (8 * (List.length Queries.all + perst_queries))
+    !runs;
+  Alcotest.(check int) "every fallback equivalence checked" perst_queries
+    !fallbacks;
+  Alcotest.(check (list string)) "violations" [] (List.rev !violations)
+
 let suite =
   [
     ( "robust",
@@ -304,6 +392,8 @@ let suite =
           test_fallback_unsupported;
         Alcotest.test_case "PERST fallback: injected fault" `Slow
           test_fallback_injected_fault;
+        Alcotest.test_case "fault sweep: 8 seeds x 16 queries x MAX/PERST"
+          `Slow test_fault_sweep;
       ] );
     ("robust-atomicity", qcheck_tests);
   ]

@@ -3,9 +3,10 @@
    invariants and the qcheck no-torn-reads property driving reader
    domains against a stream of TEMPORAL MERGEs), commit-lane group
    commit / admission / crash poisoning, the kill -9 durability test
-   (acked commits survive, unacked vanish), and a socket end-to-end
-   pass over a real server (DDL + merge + reads, stats, admission
-   rejection, idle timeout, drain). *)
+   (acked commits survive, unacked vanish), the 300-point crash fuzz
+   through the commit lane, and a socket end-to-end pass over a real
+   server (DDL + merge + reads, served = direct, stats, admission
+   rejection, idle timeout, group commit under 4 writers, drain). *)
 
 module Engine = Sqleval.Engine
 module Eval = Sqleval.Eval
@@ -27,6 +28,14 @@ let rows_str = function
                (List.map Sqldb.Value.to_string (Array.to_list r)))
            rs.RS.rows)
   | _ -> []
+
+let rec rm_rf p =
+  if Sys.file_exists p then
+    if Sys.is_directory p then begin
+      Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+      Unix.rmdir p
+    end
+    else Sys.remove p
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -574,14 +583,148 @@ let test_kill9_acked_commits_survive () =
       | [ [| Sqldb.Value.Int n |] ] ->
           Alcotest.(check int) "exactly the committed prefix" (s - 1) n
       | _ -> Alcotest.fail "count shape");
-      let rec rm_rf p =
-        if Sys.is_directory p then begin
-          Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
-          Unix.rmdir p
-        end
-        else Sys.remove p
-      in
       rm_rf dir
+
+(* ------------------------------------------------------------------ *)
+(* Serve fuzz: crash points under concurrent group commit              *)
+(* ------------------------------------------------------------------ *)
+
+let fuzz_stmts_of s =
+  [
+    Printf.sprintf "CREATE TABLE fzs_%d (id INTEGER, v INTEGER)" s;
+    Printf.sprintf "INSERT INTO fzs_%d VALUES (1, 10), (2, 20), (3, 30)" s;
+    Printf.sprintf "UPDATE fzs_%d SET v = v + 1 WHERE id = 2" s;
+    Printf.sprintf
+      "CREATE TABLE fzt_%d (sku VARCHAR(8), qty INT) WITH VALIDTIME TEMPORAL \
+       PRIMARY KEY (sku)"
+      s;
+    Printf.sprintf
+      "TEMPORAL MERGE INTO fzt_%d USING (SELECT 'a' AS sku, 5 AS qty, DATE \
+       '2010-01-01' AS begin_time, DATE '2010-06-01' AS end_time) MODE UPSERT"
+      s;
+    Printf.sprintf "DELETE FROM fzs_%d WHERE id = 3" s;
+  ]
+
+(* Four submitter threads race disjoint statement streams into the
+   commit lane over a durable store whose every write is under a seeded
+   byte budget; returns the lane's execution order and the acked
+   statements, or [None] when the crash hit attach.  All mutation stays
+   on the lane domain. *)
+let fuzz_trial ~sessions dir =
+  let e = Engine.create () in
+  Stratum.install e;
+  let order = ref [] and omu = Mutex.create () in
+  let acked = ref [] and amu = Mutex.create () in
+  match
+    Sqleval.Persist.attach ~policy:Durable.Wal.Off ~snapshot_every:8 ~dir e
+  with
+  | exception Fault.Crash _ -> None
+  | h ->
+      let lane =
+        Lane.create
+          ~cfg:{ Lane.default_config with batch_window = 0.0 }
+          ~on_exec:(fun sql ->
+            Mutex.protect omu (fun () -> order := sql :: !order))
+          ~exec:(fun req -> Stratum.exec_sql e req.Lane.sql)
+          ~sync_wal:(fun () -> Sqleval.Persist.sync h)
+          ~publish:(fun () -> ())
+          ()
+      in
+      let threads =
+        List.init sessions (fun s ->
+            Thread.create
+              (fun () ->
+                List.iter
+                  (fun sql ->
+                    match Lane.submit lane ~session:s sql with
+                    | Error _ -> ()
+                    | Ok req -> (
+                        match Lane.await lane req with
+                        | Lane.Done _ ->
+                            Mutex.protect amu (fun () -> acked := sql :: !acked)
+                        | Lane.Failed _ -> ()))
+                  (fuzz_stmts_of s))
+              ())
+      in
+      List.iter Thread.join threads;
+      Lane.drain lane;
+      if not (Durable.Store.is_dead (Sqleval.Persist.store h)) then
+        Sqleval.Persist.detach h;
+      Some (List.rev !order, !acked)
+
+(* 300 crash points.  Recovery must reproduce the replay of exactly the
+   first [last_serial] statements of the lane's order, and every
+   statement acked before the crash must lie inside that prefix: an ack
+   strictly follows its batch's fsync, so a lost acked commit is a
+   durability lie. *)
+let test_serve_fuzz () =
+  let sessions = 4 in
+  let total =
+    let big = 1 lsl 30 in
+    Fault.arm_crash ~at_bytes:big;
+    let dir = Filename.temp_dir "taupsm_serve_fuzz_measure" "" in
+    ignore (fuzz_trial ~sessions dir);
+    rm_rf dir;
+    let remaining = Option.value ~default:0 (Fault.crash_armed ()) in
+    Fault.disarm_crash ();
+    big - remaining
+  in
+  let rng = Random.State.make [| 0x5e2; sessions |] in
+  let violations = ref [] in
+  let violation fmt =
+    Printf.ksprintf (fun m -> violations := m :: !violations) fmt
+  in
+  for _ = 1 to 300 do
+    let at_bytes = Random.State.int rng total in
+    let dir = Filename.temp_dir "taupsm_serve_fuzz" "" in
+    Fault.arm_crash ~at_bytes;
+    let outcome = fuzz_trial ~sessions dir in
+    Fault.disarm_crash ();
+    (match outcome with
+    | None -> (
+        (* attach crashed mid-snapshot: recovery must still work *)
+        if Durable.Store.exists dir then
+          match Sqleval.Persist.recover ~dir () with
+          | _ -> ()
+          | exception exn ->
+              violation "crash@%d: attach-leg recovery raised %s" at_bytes
+                (Printexc.to_string exn))
+    | Some (order, acked) -> (
+        match Sqleval.Persist.recover ~dir () with
+        | exception exn ->
+            violation "crash@%d: recovery raised %s" at_bytes
+              (Printexc.to_string exn)
+        | e', report ->
+            let s = report.Durable.Store.last_serial in
+            if s > List.length order then
+              violation "crash@%d: serial %d exceeds %d executed" at_bytes s
+                (List.length order)
+            else begin
+              let replay = Engine.create () in
+              Stratum.install replay;
+              List.iteri
+                (fun i sql -> if i < s then ignore (Stratum.exec_sql replay sql))
+                order;
+              (match
+                 Taupsm.Resilient.db_diff (Engine.database replay)
+                   (Engine.database e')
+               with
+              | None -> ()
+              | Some diff -> violation "crash@%d serial=%d: %s" at_bytes s diff);
+              List.iter
+                (fun sql ->
+                  let idx = ref (-1) in
+                  List.iteri (fun i o -> if o = sql then idx := i) order;
+                  if !idx < 0 || !idx >= s then
+                    violation
+                      "crash@%d: acked commit lost (index %d, recovered \
+                       prefix %d): %s"
+                      at_bytes !idx s sql)
+                acked
+            end));
+    rm_rf dir
+  done;
+  Alcotest.(check (list string)) "violations" [] (List.rev !violations)
 
 (* ------------------------------------------------------------------ *)
 (* Socket end-to-end                                                   *)
@@ -612,6 +755,16 @@ let with_server ?(cfg = base_cfg) f =
       Server.request_drain srv;
       ignore (Server.wait handle))
     (fun () -> f srv (Server.port srv))
+
+(* 2000 rows in 16 groups, loaded 200 rows per statement. *)
+let kv_load =
+  "CREATE TABLE kv (id INTEGER, grp INTEGER, v INTEGER)"
+  :: List.init 10 (fun c ->
+         "INSERT INTO kv VALUES "
+         ^ String.concat ", "
+             (List.init 200 (fun i ->
+                  let id = (c * 200) + i in
+                  Printf.sprintf "(%d, %d, %d)" id (id mod 16) (id * 7 mod 1000))))
 
 let test_e2e_session () =
   with_server (fun _srv port ->
@@ -662,6 +815,39 @@ let test_e2e_session () =
       | None -> Alcotest.fail "stats payload");
       let r = Client.ping c in
       Alcotest.(check bool) "pong" true (Client.ok r);
+      (* served = direct: the same stream through the session and through
+         a direct engine agrees result for result *)
+      let direct = Engine.create () in
+      Stratum.install direct;
+      List.iter
+        (fun sql ->
+          let resp = Client.stmt c sql in
+          Alcotest.(check bool) (sql ^ ": served ok") true (Client.ok resp);
+          let expect =
+            match Stratum.exec_sql direct sql with
+            | Eval.Rows rs ->
+                Some
+                  (List.sort compare
+                     (List.map
+                        (fun row ->
+                          Json.to_string
+                            (Json.List
+                               (List.map Wire.json_of_value (Array.to_list row))))
+                        rs.RS.rows))
+            | _ -> None
+          in
+          Alcotest.(check (option (list string)))
+            (sql ^ ": served = direct") expect (Client.row_bag resp))
+        (kv_load
+        @ [
+            "CREATE TABLE pf (id INTEGER, v INTEGER)";
+            "INSERT INTO pf VALUES (1, 10), (2, 20), (3, 30), (4, 40)";
+            "UPDATE pf SET v = v + 5 WHERE id <= 2";
+            "SELECT id, v FROM pf";
+            "DELETE FROM pf WHERE id = 4";
+            "SELECT COUNT(*) AS n, SUM(v) AS s FROM pf";
+            "SELECT grp, COUNT(*) AS n FROM kv GROUP BY grp";
+          ]);
       Client.close c)
 
 let test_e2e_admission_control () =
@@ -705,6 +891,63 @@ let test_e2e_idle_timeout () =
             (Some "idle_timeout") (Client.error_code r);
           Client.abandon c
       | exception Client.Protocol_error _ -> Client.abandon c)
+
+(* Four writer sessions racing 80 single-row UPDATEs each into a live
+   server over a store must share fsyncs: the commit lane groups
+   concurrent commits, so fsyncs per commit stays strictly below 1. *)
+let test_e2e_group_commit () =
+  let dir = Filename.temp_dir "taupsm_serve_gc" "" in
+  let e = Engine.create () in
+  Stratum.install e;
+  let h = Sqleval.Persist.attach ~policy:Durable.Wal.Off ~dir e in
+  List.iter (fun sql -> ignore (Stratum.exec_sql e sql)) kv_load;
+  let srv =
+    Server.create
+      ~cfg:{ base_cfg with workers = 8; queue_depth = 64 }
+      ~engine:e ~persist:h ()
+  in
+  let handle = Server.run_async srv in
+  let port = Server.port srv in
+  let lane_stats () =
+    let c = Client.connect ~port () in
+    let lane =
+      Option.bind (Json.member "stats" (Client.stats c)) (Json.member "lane")
+    in
+    Client.close c;
+    match lane with
+    | Some l ->
+        ( Option.value ~default:0 (Json.member_int l "fsyncs"),
+          Option.value ~default:0 (Json.member_int l "committed") )
+    | None -> Alcotest.fail "stats carry no lane"
+  in
+  let f0, c0 = lane_stats () in
+  let errors = Atomic.make 0 in
+  let writers =
+    List.init 4 (fun w ->
+        Thread.create
+          (fun () ->
+            let c = Client.connect ~port () in
+            for i = 1 to 80 do
+              let sql =
+                Printf.sprintf "UPDATE kv SET v = v + 1 WHERE id = %d"
+                  ((w * 80) + i)
+              in
+              if not (Client.ok (Client.stmt c sql)) then Atomic.incr errors
+            done;
+            Client.close c)
+          ())
+  in
+  List.iter Thread.join writers;
+  let f1, c1 = lane_stats () in
+  Server.request_drain srv;
+  Alcotest.(check int) "drain exits 0" 0 (Server.wait handle);
+  rm_rf dir;
+  Alcotest.(check int) "no write errors" 0 (Atomic.get errors);
+  Alcotest.(check int) "every UPDATE committed" 320 (c1 - c0);
+  let per_commit = float_of_int (f1 - f0) /. float_of_int (c1 - c0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "fsyncs/commit %.3f < 1.0" per_commit)
+    true (per_commit < 1.0)
 
 let test_e2e_drain () =
   let e = Engine.create () in
@@ -765,6 +1008,8 @@ let suite =
           test_lane_crash_poisons;
         Alcotest.test_case "kill -9: acked survive, unacked vanish" `Slow
           test_kill9_acked_commits_survive;
+        Alcotest.test_case "serve fuzz: 300 crash points, 4 sessions" `Slow
+          test_serve_fuzz;
       ] );
     ( "serve-e2e",
       [
@@ -773,6 +1018,8 @@ let suite =
         Alcotest.test_case "admission control rejects typed" `Slow
           test_e2e_admission_control;
         Alcotest.test_case "idle sessions time out" `Slow test_e2e_idle_timeout;
+        Alcotest.test_case "group commit: 4 writers x 80 UPDATEs" `Slow
+          test_e2e_group_commit;
         Alcotest.test_case "SIGTERM drain is graceful" `Slow test_e2e_drain;
       ] );
   ]
