@@ -211,15 +211,6 @@ let no_atomic_arg =
           "Disable atomic statement execution (failed statements may \
            leave partial effects).")
 
-let jobs_arg =
-  Arg.(
-    value & opt (bounded_int_conv ~what:"--jobs" ~min:1 ()) 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Evaluate eligible sequenced-MAX queries across $(docv) domains \
-           (the constant-period set is sliced into per-domain batches; \
-           results are identical to $(docv)=1).")
-
 let no_compile_arg =
   Arg.(
     value & flag
@@ -228,26 +219,6 @@ let no_compile_arg =
           "Evaluate every SELECT with the tree-walking interpreter instead \
            of compiled plan closures (results are identical; useful for \
            timing comparisons and for isolating compiler bugs).")
-
-(* Oversubscribing domains only adds scheduling overhead; say so once,
-   not once per statement or REPL line. *)
-let jobs_warned = ref false
-
-let warn_oversubscribed jobs =
-  let cores = Domain.recommended_domain_count () in
-  if jobs > cores && not !jobs_warned then begin
-    jobs_warned := true;
-    Printf.eprintf
-      "warning: --jobs %d exceeds this host's %d usable core(s); extra \
-       domains will time-slice without speedup\n%!"
-      jobs cores
-  end
-
-let set_jobs e jobs =
-  if jobs < 1 then
-    raise (Eval.Sql_error (Printf.sprintf "--jobs must be >= 1 (got %d)" jobs));
-  warn_oversubscribed jobs;
-  (Engine.catalog e).Sqleval.Catalog.options.Sqleval.Catalog.jobs <- jobs
 
 let set_compile e no_compile =
   if no_compile then
@@ -414,7 +385,7 @@ let run_cmd =
       & info [] ~docv:"STATEMENT" ~doc:"Temporal SQL/PSM statement(s).")
   in
   let run choice dataset empty seed deadline max_rows loop_cap fallback
-      no_atomic jobs no_compile no_cp_memo db_dir policy snapshot_every stmts =
+      no_atomic no_compile no_cp_memo db_dir policy snapshot_every stmts =
     handle_errors (fun () ->
         let e, h =
           make_durable_engine ~empty ~seed ~policy ~snapshot_every dataset
@@ -424,7 +395,6 @@ let run_cmd =
           ~finally:(fun () -> Option.iter Persist.detach h)
           (fun () ->
             set_guards e deadline max_rows loop_cap fallback no_atomic;
-            set_jobs e jobs;
             set_compile e no_compile;
             set_cp_memo e no_cp_memo;
             let strategy = set_strategy_choice e choice in
@@ -437,7 +407,7 @@ let run_cmd =
     Term.(
       const run $ strategy_choice_arg $ dataset_arg $ empty_arg $ seed_arg
       $ deadline_arg $ max_rows_arg $ loop_cap_arg $ fallback_arg
-      $ no_atomic_arg $ jobs_arg $ no_compile_arg $ no_cp_memo_arg
+      $ no_atomic_arg $ no_compile_arg $ no_cp_memo_arg
       $ db_dir_arg $ wal_sync_arg $ snapshot_every_arg $ stmts_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -446,12 +416,11 @@ let run_cmd =
 
 let repl_cmd =
   let run choice dataset empty seed deadline max_rows loop_cap fallback
-      no_atomic jobs no_compile no_cp_memo db_dir policy snapshot_every =
+      no_atomic no_compile no_cp_memo db_dir policy snapshot_every =
     let e, h =
       make_durable_engine ~empty ~seed ~policy ~snapshot_every dataset db_dir
     in
     set_guards e deadline max_rows loop_cap fallback no_atomic;
-    set_jobs e jobs;
     set_compile e no_compile;
     set_cp_memo e no_cp_memo;
     let strategy = set_strategy_choice e choice in
@@ -488,7 +457,7 @@ let repl_cmd =
     Term.(
       const run $ strategy_choice_arg $ dataset_arg $ empty_arg $ seed_arg
       $ deadline_arg $ max_rows_arg $ loop_cap_arg $ fallback_arg
-      $ no_atomic_arg $ jobs_arg $ no_compile_arg $ no_cp_memo_arg
+      $ no_atomic_arg $ no_compile_arg $ no_cp_memo_arg
       $ db_dir_arg $ wal_sync_arg $ snapshot_every_arg)
 
 (* ------------------------------------------------------------------ *)

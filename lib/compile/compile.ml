@@ -505,16 +505,6 @@ let select_hook (env : Eval.env) (s : select) : Result_set.t option =
 
 let install () = Eval.select_compiler := select_hook
 
-(* Compile [q]'s top-level SELECT into the catalog's shared plan store
-   ahead of execution, so catalogs sharing the store — parallel worker
-   read views — start with a warm compiled entry instead of each paying
-   the analysis on their first row. *)
-let prewarm (cat : Catalog.t) (q : query) =
-  if cat.Catalog.options.Catalog.compile then
-    match q with
-    | Select s -> ignore (stored_plan cat (Catalog.plan_token cat) s)
-    | _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Compiled constant-period primitive                                  *)
 (* ------------------------------------------------------------------ *)

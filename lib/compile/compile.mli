@@ -18,13 +18,6 @@ val install : unit -> unit
     is consulted only when [options.compile] is on; installing is
     idempotent. *)
 
-val prewarm : Sqleval.Catalog.t -> Sqlast.Ast.query -> unit
-(** Compile the query's top-level SELECT into the catalog's shared plan
-    store ahead of execution.  Read-view catalogs share their parent's
-    store, so pre-warming on the parent hands every parallel worker a
-    ready closure.  No-op for non-SELECT queries or when compilation is
-    off. *)
-
 val adjacent_periods :
   bt:Sqldb.Date.t ->
   et:Sqldb.Date.t ->

@@ -11,6 +11,7 @@ module Engine = Sqleval.Engine
 module Catalog = Sqleval.Catalog
 module Eval = Sqleval.Eval
 module RS = Sqleval.Result_set
+module Counter = Sqleval.Select_plan.Counter
 
 (* ------------------------------------------------------------------ *)
 (* Metrics: a flat snapshot of a trace sink's counters                 *)
@@ -40,13 +41,13 @@ let metrics_of tr =
   {
     plan_cache_hits = c "plan_cache.hit";
     plan_cache_misses = c "plan_cache.miss";
-    scans_indexed = c "scan.indexed";
-    scans_full = c "scan.full";
-    scans_hash = c "scan.hash";
-    residual_fallbacks = c "scan.residual_fallback";
-    rows_probed = c "rows.probed";
-    rows_matched = c "rows.matched";
-    conjuncts_elided = c "conjuncts.elided";
+    scans_indexed = c Counter.scan_indexed;
+    scans_full = c Counter.scan_full;
+    scans_hash = c Counter.scan_hash;
+    residual_fallbacks = c Counter.scan_residual_fallback;
+    rows_probed = c Counter.rows_probed;
+    rows_matched = c Counter.rows_matched;
+    conjuncts_elided = c Counter.conjuncts_elided;
     index_builds = c "index.build";
     index_rebuilds = c "index.rebuild";
     routine_calls = c "routine.calls";

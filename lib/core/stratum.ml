@@ -235,27 +235,6 @@ let exec_plan ?tt_mode (e : Engine.t) (stmts : stmt list) : Eval.exec_result =
   in
   go stmts
 
-(* ------------------------------------------------------------------ *)
-(* Parallel sequenced evaluation                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Long-lived domain pools, one per requested size: workers park on a
-   condition variable between statements, so repeated parallel
-   executions pay no spawn cost.  [at_exit] joins them so the process
-   never exits with domains still parked. *)
-let pools : (int, Parallel.Pool.t) Hashtbl.t = Hashtbl.create 4
-
-let () =
-  at_exit (fun () -> Hashtbl.iter (fun _ p -> Parallel.Pool.shutdown p) pools)
-
-let pool_for jobs =
-  match Hashtbl.find_opt pools jobs with
-  | Some p -> p
-  | None ->
-      let p = Parallel.Pool.create ~jobs in
-      Hashtbl.add pools jobs p;
-      p
-
 (* Does a statement write (DML or DDL)?  Queries and PSM control flow
    do not; a CALLed procedure's body is scanned separately through the
    reachable-routine set. *)
@@ -280,35 +259,6 @@ let rec stmt_writes (s : stmt) : bool =
   | Sfor f -> List.exists stmt_writes f.for_body
   | Stemporal (_, s) -> stmt_writes s
 
-(* Is a transformed MAX main statement safe to slice across domains?
-   Required (DESIGN.md §"Parallel sequenced evaluation"):
-   - a plain SELECT with the constant-period table as its {e outermost}
-     FROM item — the property that makes the serial result period-major,
-     so in-order concatenation of per-batch fragments is bit-identical
-     (DISTINCT and GROUP BY stay safe because the transformation always
-     carries the period's timestamps in the row and the grouping key);
-   - no ORDER BY / OFFSET / FETCH FIRST: those apply globally after the
-     join loop and do not commute with concatenation;
-   - no reachable routine body writes: domains run against private
-     snapshots, so a write would be dropped rather than applied once. *)
-let parallelizable_main (e : Engine.t) (main : stmt) : bool =
-  match main with
-  | Squery (Select s) ->
-      s.order_by = [] && s.offset = None && s.fetch_first = None
-      && (match s.from with
-         | Tref (t, _) :: _ -> String.lowercase_ascii t = Names.cp_table
-         | _ -> false)
-      &&
-      let cat = Engine.catalog e in
-      let a = Analysis.of_stmt cat main in
-      List.for_all
-        (fun rname ->
-          match Catalog.find_routine cat rname with
-          | Some (_, r) -> not (List.exists stmt_writes r.r_body)
-          | None -> true)
-        (Analysis.routines_list a)
-  | _ -> false
-
 (* Is a temporal statement read-only — safe to run against a published
    MVCC snapshot instead of the single-writer lane?  Conservative: the
    statement itself must not write, and no routine reachable from it
@@ -325,31 +275,6 @@ let read_only (cat : Catalog.t) (ts : temporal_stmt) : bool =
       | Some (_, r) -> not (List.exists stmt_writes r.r_body)
       | None -> true)
     (Analysis.routines_list a)
-
-(* {!exec_plan} with the final statement sliced across [jobs] domains
-   when eligible.  The plan prefix (scratch-table prep, routine clones)
-   always runs serially on the parent engine first, so the snapshot
-   each domain takes already contains it; eligibility is therefore
-   checked only once the prefix is in place (the max_ clones must be
-   registered for the reachability scan to see their bodies). *)
-let exec_plan_sliced ?tt_mode ~jobs (e : Engine.t) (stmts : stmt list) :
-    Eval.exec_result =
-  install e;
-  let rec go = function
-    | [] -> Eval.Unit
-    | [ last ] -> (
-        match last with
-        | Squery q when jobs > 1 && parallelizable_main e last ->
-            Eval.Rows
-              (Parallel.Parallel_max.exec_query ~pool:(pool_for jobs)
-                 ~cp_table:Names.cp_table ?tt_mode ~now:(Engine.now e)
-                 (Engine.catalog e) q)
-        | _ -> Engine.exec_stmt ?tt_mode e last)
-    | s :: rest ->
-        ignore (Engine.exec_stmt ?tt_mode e s);
-        go rest
-  in
-  go stmts
 
 (* The transaction-time reading mode of a statement.  Transaction time
    is system-maintained, so this is enforced by the engine's scans
@@ -474,11 +399,8 @@ let sequenced_update e ~context tname sets where =
 (* End-to-end execution                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* One execution attempt under a fixed strategy.  [jobs] (defaulting to
-   the catalog's [options.jobs]) slices an eligible sequenced-MAX main
-   query across a domain pool; everything else — PERST, current,
-   nonsequenced, sequenced DML — runs serially. *)
-let exec_once ?strategy ?jobs (e : Engine.t) (ts : temporal_stmt) :
+(* One execution attempt under a fixed strategy. *)
+let exec_once ?strategy (e : Engine.t) (ts : temporal_stmt) :
     Eval.exec_result =
   match (ts.t_modifier, ts.t_stmt) with
   | Mod_sequenced ctx, Sinsert (t, cols, src) ->
@@ -495,20 +417,8 @@ let exec_once ?strategy ?jobs (e : Engine.t) (ts : temporal_stmt) :
       Temporal_merge.exec (Engine.catalog e) ~now:(Engine.now e)
         ~tt_mode:(tt_mode_of e ts) m
   | _ ->
-      let jobs =
-        match jobs with
-        | Some j -> j
-        | None -> (Engine.catalog e).Catalog.options.Catalog.jobs
-      in
-      let sequenced_max =
-        match ts.t_modifier with
-        | Mod_sequenced _ -> strategy <> Some Perst
-        | _ -> false
-      in
       let tt_mode = tt_mode_of e ts in
-      let plan = transform ?strategy e ts in
-      if jobs > 1 && sequenced_max then exec_plan_sliced ~tt_mode ~jobs e plan
-      else exec_plan ~tt_mode e plan
+      exec_plan ~tt_mode e (transform ?strategy e ts)
 
 (* Failures a PERST attempt may gracefully degrade from: statement
    shapes PERST cannot express, a resource guard firing mid-flight, or
@@ -647,7 +557,7 @@ let decide (e : Engine.t) (ts : temporal_stmt) : strategy * decision_source =
    unit.  With [fallback_to_max] on, a PERST attempt that fails
    recoverably is rolled back and retried under MAX with a fresh guard
    window, recording a trace event. *)
-let exec ?strategy ?jobs (e : Engine.t) (ts : temporal_stmt) : Eval.exec_result =
+let exec ?strategy (e : Engine.t) (ts : temporal_stmt) : Eval.exec_result =
   let cat = Engine.catalog e in
   let g = cat.Catalog.options.Catalog.guards in
   let atomic f =
@@ -690,7 +600,7 @@ let exec ?strategy ?jobs (e : Engine.t) (ts : temporal_stmt) : Eval.exec_result 
     Fun.protect
       ~finally:(fun () -> Guard.leave g)
       (fun () ->
-        atomic (fun () -> checked (fun () -> exec_once ?strategy ?jobs e ts)))
+        atomic (fun () -> checked (fun () -> exec_once ?strategy e ts)))
   in
   let obs = Catalog.trace cat in
   if
@@ -736,7 +646,7 @@ let exec ?strategy ?jobs (e : Engine.t) (ts : temporal_stmt) : Eval.exec_result 
     | r -> r
     | exception exn when chosen = Perst && perst_recoverable exn ->
         (* An Auto-chosen PERST must never surface a failure MAX can
-           absorb — the user never asked for PERST — so this retries
+           recover from — the user never asked for PERST — so this retries
            regardless of the guard's [fallback_to_max]. *)
         if Trace.enabled obs then begin
           Trace.count obs "fallback.perst_to_max" 1;
@@ -771,19 +681,19 @@ let exec ?strategy ?jobs (e : Engine.t) (ts : temporal_stmt) : Eval.exec_result 
         end;
         attempt ~strategy:Max ()
 
-let exec_sql ?strategy ?jobs (e : Engine.t) (sql : string) : Eval.exec_result =
-  exec ?strategy ?jobs e (Sqlparse.Parser.parse_temporal_stmt sql)
+let exec_sql ?strategy (e : Engine.t) (sql : string) : Eval.exec_result =
+  exec ?strategy e (Sqlparse.Parser.parse_temporal_stmt sql)
 
-let query ?strategy ?jobs (e : Engine.t) (sql : string) : RS.t =
-  match exec_sql ?strategy ?jobs e sql with
+let query ?strategy (e : Engine.t) (sql : string) : RS.t =
+  match exec_sql ?strategy e sql with
   | Eval.Rows rs -> rs
   | _ -> raise (Eval.Sql_error "temporal statement did not produce rows")
 
 (* Execute a script of temporal statements (data definition + loading +
    queries); returns the last statement's result. *)
-let exec_script ?strategy ?jobs (e : Engine.t) (sql : string) : Eval.exec_result =
+let exec_script ?strategy (e : Engine.t) (sql : string) : Eval.exec_result =
   let stmts = Sqlparse.Parser.parse_script sql in
-  List.fold_left (fun _ ts -> exec ?strategy ?jobs e ts) Eval.Unit stmts
+  List.fold_left (fun _ ts -> exec ?strategy e ts) Eval.Unit stmts
 
 (* Statement execution with the routine-invocation count (the MAX/PERST
    cost driver the paper plots as asterisks in Figure 7). *)

@@ -59,23 +59,6 @@ val read_only : Sqleval.Catalog.t -> Sqlast.Ast.temporal_stmt -> bool
     this to route statements between lock-free snapshot readers and the
     single-writer commit lane. *)
 
-val parallelizable_main : Sqleval.Engine.t -> Sqlast.Ast.stmt -> bool
-(** Whether a transformed MAX main statement may be sliced across
-    domains: a plain [SELECT] with the constant-period table outermost,
-    no ORDER BY / OFFSET / FETCH FIRST, and no reachable routine whose
-    body writes.  Exposed for tests. *)
-
-val exec_plan_sliced :
-  ?tt_mode:Sqleval.Eval.tt_mode -> jobs:int -> Sqleval.Engine.t ->
-  Sqlast.Ast.stmt list -> Sqleval.Eval.exec_result
-(** {!exec_plan}, but an eligible final statement is evaluated by
-    {!Parallel.Parallel_max} across a pool of [jobs] domains: the
-    constant-period table is partitioned into contiguous batches, each
-    batch runs against a private engine snapshot, and the fragments are
-    concatenated in period order — bit-identical to the serial result.
-    Ineligible statements (see {!parallelizable_main}) fall back to the
-    serial path. *)
-
 val tt_mode_of :
   Sqleval.Engine.t -> Sqlast.Ast.temporal_stmt -> Sqleval.Eval.tt_mode
 (** The transaction-time reading mode a statement's modifier requests. *)
@@ -115,31 +98,27 @@ val decide :
     model's verdict. *)
 
 val exec :
-  ?strategy:strategy -> ?jobs:int -> Sqleval.Engine.t ->
+  ?strategy:strategy -> Sqleval.Engine.t ->
   Sqlast.Ast.temporal_stmt -> Sqleval.Eval.exec_result
 (** Transform (reusing a cached plan when its validity token still
     holds) and execute.  When [strategy] is omitted: sequenced queries
     and CALLs go through {!decide} if [Catalog.options.auto_strategy]
     is set (an Auto-chosen PERST that fails recoverably always retries
     under MAX, regardless of [Guard.fallback_to_max]), and default to
-    MAX otherwise.  [jobs] (defaulting to [Catalog.options.jobs],
-    itself 1) slices an eligible sequenced-MAX main query across that
-    many domains; PERST, current and nonsequenced statements, sequenced
-    DML, and mains that fail {!parallelizable_main} always run
-    serially. *)
+    MAX otherwise. *)
 
 val exec_sql :
-  ?strategy:strategy -> ?jobs:int -> Sqleval.Engine.t -> string ->
+  ?strategy:strategy -> Sqleval.Engine.t -> string ->
   Sqleval.Eval.exec_result
 (** {!exec} on parsed text. *)
 
 val query :
-  ?strategy:strategy -> ?jobs:int -> Sqleval.Engine.t -> string ->
+  ?strategy:strategy -> Sqleval.Engine.t -> string ->
   Sqleval.Result_set.t
 (** {!exec_sql} restricted to statements producing rows. *)
 
 val exec_script :
-  ?strategy:strategy -> ?jobs:int -> Sqleval.Engine.t -> string ->
+  ?strategy:strategy -> Sqleval.Engine.t -> string ->
   Sqleval.Eval.exec_result
 (** Execute [;]-separated temporal statements; the last result wins. *)
 

@@ -79,7 +79,7 @@ let p90 t = quantile t 0.90
 let p99 t = quantile t 0.99
 
 (* Fold [src] into [dst] (bucket-wise add) — deterministic regardless of
-   merge order, like {!Trace.absorb}. *)
+   merge order. *)
 let merge ~into:dst src =
   Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
   dst.count <- dst.count + src.count;

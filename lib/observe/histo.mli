@@ -4,8 +4,7 @@
     needs p50/p99 under sustained load.  Buckets are geometric (4 per
     doubling from 1 µs), so any reported quantile overstates the true
     one by at most ~19% and the whole structure is a small int array —
-    mergeable across sessions deterministically, like
-    {!Trace.absorb}.
+    mergeable across sessions deterministically.
 
     Not thread-safe: one writer at a time, or an external lock. *)
 

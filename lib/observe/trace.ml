@@ -19,8 +19,8 @@
 (* A nondecreasing wall clock: [Unix.gettimeofday] clamped against the
    last value handed out, so span arithmetic (parent >= sum of
    children) cannot be broken by clock steps.  The clamp state is a
-   single global shared by every trace sink — including the per-domain
-   sinks of a parallel region — so it is an [Atomic] advanced by
+   single global shared by every trace sink — including those of the
+   server's worker domains — so it is an [Atomic] advanced by
    compare-and-set rather than a bare ref (a plain read-modify-write
    here would be a cross-domain data race). *)
 let last_time = Atomic.make 0.0
@@ -203,58 +203,6 @@ let with_span t name f =
 (* Closed top-level spans, oldest first.  Spans still open (a crash
    mid-span) are not reported. *)
 let roots t = List.rev t.roots
-
-(* ------------------------------------------------------------------ *)
-(* Merging (parallel regions)                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Fold independently collected child sinks — one per domain of a
-   parallel region, each written by a single domain — into [t],
-   deterministically: children are absorbed in list order; counters are
-   summed and distributions folded (both commutative, so the per-child
-   table iteration order is immaterial); each child's events are
-   replayed in its own emission order; and each child's closed
-   top-level spans are re-rooted under a fresh span "<name>.<i>" whose
-   elapsed time is their sum, attached to [t]'s innermost open span.
-   Must be called after the domains have quiesced. *)
-let absorb t ~name children =
-  if t.enabled then
-    List.iteri
-      (fun i child ->
-        Hashtbl.iter (fun k r -> count t k !r) child.counters;
-        Hashtbl.iter
-          (fun k d ->
-            match Hashtbl.find_opt t.dists k with
-            | Some d' ->
-                d'.d_count <- d'.d_count + d.d_count;
-                d'.d_sum <- d'.d_sum +. d.d_sum;
-                if d.d_min < d'.d_min then d'.d_min <- d.d_min;
-                if d.d_max > d'.d_max then d'.d_max <- d.d_max
-            | None ->
-                Hashtbl.replace t.dists k
-                  {
-                    d_count = d.d_count;
-                    d_sum = d.d_sum;
-                    d_min = d.d_min;
-                    d_max = d.d_max;
-                  })
-          child.dists;
-        List.iter (fun e -> event t e.ev_label e.ev_detail) (events child);
-        let kids = roots child in
-        let sp =
-          {
-            sp_name = Printf.sprintf "%s.%d" name i;
-            sp_start =
-              (match kids with k :: _ -> k.sp_start | [] -> now ());
-            sp_elapsed =
-              List.fold_left (fun a k -> a +. k.sp_elapsed) 0.0 kids;
-            sp_children = kids;
-          }
-        in
-        match t.stack with
-        | parent :: _ -> parent.sp_children <- sp :: parent.sp_children
-        | [] -> t.roots <- sp :: t.roots)
-      children
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -9,9 +9,9 @@
     string must guard on {!enabled} themselves.
 
     Thread-safety: a sink must only ever be written by one domain at a
-    time.  Parallel regions give each domain a private sink and fold
-    them into the parent afterwards with {!absorb}; the only shared
-    state, the {!now} clock clamp, is advanced atomically. *)
+    time.  Concurrent server sessions each write their own read view's
+    sink; the only shared state, the {!now} clock clamp, is advanced
+    atomically. *)
 
 (** {1 Clock} *)
 
@@ -65,16 +65,6 @@ val span_end : t -> unit
 
 val roots : t -> span list
 (** Closed top-level spans, oldest first. *)
-
-val absorb : t -> name:string -> t list -> unit
-(** [absorb t ~name children] deterministically merges sinks collected
-    independently (one per domain of a parallel region, each written by
-    a single domain) into [t], in list order: counters are summed,
-    distributions folded, events replayed in each child's emission
-    order, and each child's top-level spans re-rooted under a span
-    ["<name>.<i>"] attached to [t]'s innermost open span.  Call only
-    after the writing domains have quiesced.  No-op when [t] is
-    disabled. *)
 
 (** {1 Counters} *)
 

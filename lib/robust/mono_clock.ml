@@ -12,8 +12,8 @@
    The source is injectable so tests can replay skew scenarios
    deterministically. *)
 
-(* The clamp state is shared by every domain of a parallel region
-   (per-domain guards arm and check deadlines against this clock), so
+(* The clamp state is shared by every domain of the server (each
+   session's guard arms and checks deadlines against this clock), so
    it is advanced by compare-and-set.  [set_source] remains a
    test-only, single-domain affair. *)
 let source : (unit -> float) ref = ref Unix.gettimeofday

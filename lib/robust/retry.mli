@@ -2,7 +2,7 @@
 
     The serving layer uses this for transient conditions — a full
     write-lane queue, a momentarily saturated listener — where failing
-    immediately would shed load the system could absorb a few
+    immediately would shed load the system could handle a few
     milliseconds later, but retrying in lock-step across sessions would
     just reproduce the collision.  Jitter decorrelates the retries.
 

@@ -140,8 +140,6 @@ let exec_read t ?strategy (ts : Sqlast.Ast.temporal_stmt) =
   let snap = Atomic.get t.published in
   let view = Sqleval.Catalog.read_view snap.snap_cat in
   let o = view.Sqleval.Catalog.options in
-  o.Sqleval.Catalog.jobs <- 1;
-  (* inter-query parallelism is the sessions themselves *)
   let g = o.Sqleval.Catalog.guards in
   g.Guard.deadline_seconds <- t.cfg.stmt_deadline;
   g.Guard.row_budget <- t.cfg.max_rows;

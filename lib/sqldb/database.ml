@@ -205,8 +205,8 @@ let copy db =
    view has its own (inactive) undo journal and no WAL hook; callers
    must not mutate the shared base tables through it, but may freely
    shadow them with view-local temp tables.  Sound only while the
-   original is not mutated — the parallel evaluator guarantees this by
-   construction (read-only sliced queries). *)
+   original is not mutated — the server guarantees this by viewing only
+   published snapshots, which no writer touches again. *)
 let read_view db =
   let db' =
     {

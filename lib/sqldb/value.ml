@@ -62,7 +62,7 @@ let to_string = function
   | Null -> "NULL"
   | Int i -> string_of_int i
   | Float f ->
-      (* %.12g absorbs binary-arithmetic noise (e.g. 5600 * 1.4); the
+      (* %.12g rounds away binary-arithmetic noise (e.g. 5600 * 1.4); the
          suffix keeps the value recognizably a float. *)
       let s = Printf.sprintf "%.12g" f in
       if String.exists (fun c -> c = '.' || c = 'e' || c = 'n' || c = 'i') s

@@ -64,7 +64,7 @@ and t = {
          {!cache_token}. *)
   mutable compile_ext : ext option;
       (* the plan-compilation layer's per-catalog closure cache (see
-         {!ext}).  Shared by {!read_view} so parallel workers hit the
+         {!ext}).  Shared by {!read_view} so serving sessions hit the
          parent's compiled entries; dropped by {!copy} (a deep copy is a
          different database). *)
   calibration : Calibration.t;
@@ -90,10 +90,9 @@ and options = {
          {!t.obs}; off by default — when off, instrumentation costs one
          flag test per site *)
   mutable jobs : int;
-      (* worker domains for parallel sequenced (MAX) evaluation; 1 =
-         serial.  Not part of the plan-cache fingerprint: the
-         transformed plan is identical either way, only its execution
-         is sliced *)
+      (* read by nothing: sequenced evaluation is serial.  Kept only
+         because the repository benchmark still assigns it; the next
+         benchmark change deletes that assignment and then this field *)
   mutable compile : bool;
       (* closure-compilation of hot physical plans (lib/compile): when
          on, the evaluator consults the installed compiler before
@@ -380,7 +379,7 @@ let copy cat =
     cp_memo = Cp_memo.create ();
   }
 
-(* A read-only snapshot view for parallel workers and serving sessions:
+(* A read-only snapshot view for serving sessions:
    storage becomes a {!Sqldb.Database.read_view} (shared row vectors, no
    per-row copy, no obs/undo/wal), views/routines/natives become
    *private hashtable copies* — the ASTs themselves are shared and

@@ -451,6 +451,16 @@ type access = {
 (* The join loop                                                       *)
 (* ------------------------------------------------------------------ *)
 
+module Counter = struct
+  let scan_indexed = "scan.indexed"
+  let scan_full = "scan.full"
+  let scan_hash = "scan.hash"
+  let scan_residual_fallback = "scan.residual_fallback"
+  let rows_probed = "rows.probed"
+  let rows_matched = "rows.matched"
+  let conjuncts_elided = "conjuncts.elided"
+end
+
 let run obs (p : 'e t) (binds : binding array) ~(value : 'e -> Value.t)
     ~(pass : 'e array -> bool) (a : access) ~(emit : unit -> unit) =
   let n = Array.length p.levels in
@@ -491,9 +501,9 @@ let run obs (p : 'e t) (binds : binding array) ~(value : 'e -> Value.t)
             in
             if traced then begin
               let tname = Table.name t in
-              Trace.count obs "scan.indexed" 1;
-              Trace.count obs ("scan.indexed:" ^ tname) 1;
-              Trace.count obs "rows.probed" (List.length cands);
+              Trace.count obs Counter.scan_indexed 1;
+              Trace.count obs (Counter.scan_indexed ^ ":" ^ tname) 1;
+              Trace.count obs Counter.rows_probed (List.length cands);
               let bound d inf =
                 if d = min_int || d = max_int then inf else Date.to_string d
               in
@@ -508,7 +518,7 @@ let run obs (p : 'e t) (binds : binding array) ~(value : 'e -> Value.t)
             Some (cands, nsat)
         | _ ->
             if traced then begin
-              Trace.count obs "scan.residual_fallback" 1;
+              Trace.count obs Counter.scan_residual_fallback 1;
               Trace.event obs "scan"
                 (Printf.sprintf "fallback table=%s (non-date bound)"
                    (Table.name t))
@@ -518,13 +528,13 @@ let run obs (p : 'e t) (binds : binding array) ~(value : 'e -> Value.t)
   let probed counter rows =
     if traced then begin
       Trace.count obs counter 1;
-      Trace.count obs "rows.probed" (List.length rows)
+      Trace.count obs Counter.rows_probed (List.length rows)
     end
   in
   let full i l =
     let rows = a.rows i in
-    if traced then Trace.count obs ("scan.full:" ^ l.l_name) 1;
-    probed "scan.full" rows;
+    if traced then Trace.count obs (Counter.scan_full ^ ":" ^ l.l_name) 1;
+    probed Counter.scan_full rows;
     (rows, l.l_checks)
   in
   let rec extend i =
@@ -548,7 +558,7 @@ let run obs (p : 'e t) (binds : binding array) ~(value : 'e -> Value.t)
             | Some (cands, _) -> cands
             | None ->
                 let rows = a.rows i in
-                probed "scan.full" rows;
+                probed Counter.scan_full rows;
                 rows
           in
           List.iter
@@ -558,7 +568,7 @@ let run obs (p : 'e t) (binds : binding array) ~(value : 'e -> Value.t)
               | Value.Bool true ->
                   matched := true;
                   if pass l.l_checks then begin
-                    Trace.count obs "rows.matched" 1;
+                    Trace.count obs Counter.rows_matched 1;
                     extend (i + 1)
                   end
               | _ -> ())
@@ -584,13 +594,14 @@ let run obs (p : 'e t) (binds : binding array) ~(value : 'e -> Value.t)
                       Option.value ~default:[]
                         (Hashtbl.find_opt (a.hash i h.h_ci) k)
                   in
-                  probed "scan.hash" rows;
-                  if traced then Trace.count obs "conjuncts.elided" 1;
+                  probed Counter.scan_hash rows;
+                  if traced then Trace.count obs Counter.conjuncts_elided 1;
                   (rows, h.h_checks)
               | None, Some pd -> (
                   match period_scan i pd with
                   | Some (cands, nsat) when nsat > 0 ->
-                      if traced then Trace.count obs "conjuncts.elided" nsat;
+                      if traced then
+                        Trace.count obs Counter.conjuncts_elided nsat;
                       (cands, pd.pd_checks_exact)
                   | Some (cands, _) -> (cands, l.l_checks)
                   | None -> full i l)
@@ -600,7 +611,7 @@ let run obs (p : 'e t) (binds : binding array) ~(value : 'e -> Value.t)
             (fun row ->
               b.b_row <- row;
               if pass checks then begin
-                Trace.count obs "rows.matched" 1;
+                Trace.count obs Counter.rows_matched 1;
                 extend (i + 1)
               end)
             rows

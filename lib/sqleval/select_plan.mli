@@ -139,6 +139,32 @@ type access = {
 
 (** {1 The join loop} *)
 
+(** The names of the trace counters {!run} writes, for their readers
+    (the stratum's [Observe] metrics).  The per-table scan counters
+    append [":<table>"] to {!scan_indexed} and {!scan_full}. *)
+module Counter : sig
+  val scan_indexed : string
+  (** interval-index scans of a period window *)
+
+  val scan_full : string
+  (** full scans *)
+
+  val scan_hash : string
+  (** hash-index probes *)
+
+  val scan_residual_fallback : string
+  (** period windows whose bounds were not all DATEs *)
+
+  val rows_probed : string
+  (** candidate rows the scans returned *)
+
+  val rows_matched : string
+  (** rows that passed their level's checks *)
+
+  val conjuncts_elided : string
+  (** conjuncts an index or hash probe enforced exactly *)
+end
+
 val run :
   Trace.t ->
   'e t ->

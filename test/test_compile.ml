@@ -1,13 +1,12 @@
 (* Plan-compilation tests: closure-compiled evaluation must be
    row-for-row identical to the tree-walking interpreter.  The suite
-   runs the 16 τPSM queries compiled at jobs {1, 2, 4} and interpreted
-   at jobs 4 against one interpreted-serial baseline, asserts the
-   compiled path actually fired (not silently falling back everywhere),
-   checks the per-query compiled/interpreted counters, and closes with
-   a qcheck property comparing the two evaluators on randomly generated
-   temporal databases seeded with NULL keys and empty ([b, b))
-   periods: equal rows, equal access-path counters and the same [join]
-   events. *)
+   runs the 16 τPSM queries compiled against an interpreted baseline,
+   asserts the compiled path actually fired (not silently falling back
+   everywhere), checks the per-query compiled/interpreted counters, and
+   closes with a qcheck property comparing the two evaluators on
+   randomly generated temporal databases seeded with NULL keys and
+   empty ([b, b)) periods: equal rows, equal access-path counters and
+   the same [join] events. *)
 
 module Engine = Sqleval.Engine
 module Catalog = Sqleval.Catalog
@@ -36,14 +35,13 @@ let load_fresh () =
 
 let ctx = (Date.of_ymd ~y:2010 ~m:3 ~d:1, Date.of_ymd ~y:2010 ~m:4 ~d:15)
 
-let run_query ~compile ~jobs q =
+let run_query ~compile q =
   let e = load_fresh () in
   let cat = Engine.catalog e in
   cat.Catalog.options.Catalog.observe <- true;
   cat.Catalog.options.Catalog.compile <- compile;
   let rs =
-    Stratum.query ~strategy:Stratum.Max ~jobs e
-      (Queries.sequenced ~context:ctx q)
+    Stratum.query ~strategy:Stratum.Max e (Queries.sequenced ~context:ctx q)
   in
   let c = Trace.get_count (Catalog.trace cat) in
   (rs.RS.cols, rows_of rs, c "compile.compiled", c "compile.interpreted")
@@ -52,27 +50,16 @@ let test_equivalence () =
   let compiled_total = ref 0 in
   List.iter
     (fun q ->
-      (* interpreted serial is the baseline the other four must hit *)
-      let cols0, rows0, comp0, _ = run_query ~compile:false ~jobs:1 q in
+      (* the interpreter is the baseline the compiled run must hit *)
+      let cols0, rows0, comp0, _ = run_query ~compile:false q in
       Alcotest.(check int)
         (q.Queries.id ^ ": interpreter never counts compiled")
         0 comp0;
-      List.iter
-        (fun (compile, jobs) ->
-          let name =
-            Printf.sprintf "%s %s jobs=%d" q.Queries.id
-              (if compile then "compiled" else "interpreted")
-              jobs
-          in
-          let cols, rows, comp, _ = run_query ~compile ~jobs q in
-          Alcotest.(check (list string)) (name ^ ": columns") cols0 cols;
-          Alcotest.(check (list (list string)))
-            (name ^ ": rows, in order")
-            rows0 rows;
-          if (not compile) && comp > 0 then
-            Alcotest.failf "%s: counted %d compiled SELECT(s)" name comp;
-          if compile && jobs = 1 then compiled_total := !compiled_total + comp)
-        [ (true, 1); (true, 2); (false, 4); (true, 4) ])
+      let name = q.Queries.id ^ " compiled" in
+      let cols, rows, comp, _ = run_query ~compile:true q in
+      Alcotest.(check (list string)) (name ^ ": columns") cols0 cols;
+      Alcotest.(check (list (list string))) (name ^ ": rows, in order") rows0 rows;
+      compiled_total := !compiled_total + comp)
     Queries.all;
   (* the compiled path must carry real weight across the suite, not
      punt to the interpreter fallback on every query *)
@@ -172,13 +159,13 @@ let access_counters =
 
 let prop_random_db_equivalence seed =
   let query, hash_joins = random_db_query seed in
-  let answer ~compile ~jobs =
+  let answer ~compile =
     let e = random_engine seed in
     let cat = Engine.catalog e in
     cat.Catalog.options.Catalog.compile <- compile;
     cat.Catalog.options.Catalog.hash_joins <- hash_joins;
     cat.Catalog.options.Catalog.observe <- true;
-    let rows = rows_of (Stratum.query ~strategy:Stratum.Max ~jobs e query) in
+    let rows = rows_of (Stratum.query ~strategy:Stratum.Max e query) in
     let tr = Catalog.trace cat in
     let joins =
       List.filter_map
@@ -189,15 +176,12 @@ let prop_random_db_equivalence seed =
     (rows, List.map (Trace.get_count tr) access_counters, joins,
      Trace.get_count tr "compile.compiled")
   in
-  let interp, icounts, ijoins, _ = answer ~compile:false ~jobs:1 in
-  let check label rows =
-    if rows <> interp then
-      QCheck.Test.fail_reportf
-        "seed=%d: %s %d row(s) <> interpreted %d row(s)\n%s" seed label
-        (List.length rows) (List.length interp) query
-  in
-  let rows, counts, joins, compiled = answer ~compile:true ~jobs:1 in
-  check "compiled jobs=1" rows;
+  let interp, icounts, ijoins, _ = answer ~compile:false in
+  let rows, counts, joins, compiled = answer ~compile:true in
+  if rows <> interp then
+    QCheck.Test.fail_reportf
+      "seed=%d: compiled %d row(s) <> interpreted %d row(s)\n%s" seed
+      (List.length rows) (List.length interp) query;
   if compiled = 0 then
     QCheck.Test.fail_reportf "seed=%d: no SELECT compiled\n%s" seed query;
   List.iter2
@@ -209,8 +193,6 @@ let prop_random_db_equivalence seed =
     counts;
   if joins <> ijoins then
     QCheck.Test.fail_reportf "seed=%d: join events differ\n%s" seed query;
-  let rows, _, _, _ = answer ~compile:true ~jobs:4 in
-  check "compiled jobs=4" rows;
   true
 
 let qcheck_tests =
@@ -228,7 +210,7 @@ let suite =
   [
     ( "compile",
       [
-        Alcotest.test_case "16 queries: {compiled,interp} x jobs {1,2,4}" `Slow
+        Alcotest.test_case "16 queries: {compiled,interp} rows agree" `Slow
           test_equivalence;
       ] );
     ("compile-equivalence", qcheck_tests);

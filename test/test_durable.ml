@@ -841,7 +841,7 @@ let fuzz_workload qids =
    database exactly as of some committed-statement prefix, and a
    resumed store must commit on top of it and re-recover to the same
    state. *)
-let recovery_fuzz ?(jobs = 1) ?compile () =
+let recovery_fuzz ?compile () =
   let all_ids = List.map (fun (q : Queries.t) -> q.Queries.id) Queries.all in
   let plan =
     [
@@ -863,7 +863,6 @@ let recovery_fuzz ?(jobs = 1) ?compile () =
       let base = Datasets.load { Datasets.ds; size = Taupsm.Heuristic.Small } in
       Queries.install base;
       let opts = (Engine.catalog base).Sqleval.Catalog.options in
-      opts.Sqleval.Catalog.jobs <- jobs;
       Option.iter (fun c -> opts.Sqleval.Catalog.compile <- c) compile;
       (* Auto strategy + memoized constant periods: each query records a
          calibration entry, so every leg's WAL carries aux records and
@@ -1052,8 +1051,6 @@ let suite =
           test_snapshot_equivalence_queries;
         Alcotest.test_case "recovery fuzz (default): 300 crash points" `Slow
           (fun () -> recovery_fuzz ());
-        Alcotest.test_case "recovery fuzz (jobs 4): 300 crash points" `Slow
-          (fun () -> recovery_fuzz ~jobs:4 ());
         Alcotest.test_case "recovery fuzz (interpreted): 300 crash points"
           `Slow
           (fun () -> recovery_fuzz ~compile:false ());

@@ -381,6 +381,54 @@ let test_plan_cache () =
   (* The cached and re-derived plans are the same transformation. *)
   Alcotest.(check bool) "re-derived plan is equal" true (p3 = p1)
 
+(* ------------------------------------------------------------------ *)
+(* Regression: the plan-cache token covers the evaluation options      *)
+(* ------------------------------------------------------------------ *)
+
+let seq_query =
+  "VALIDTIME [DATE '2010-02-01', DATE '2010-03-01') SELECT id FROM item"
+
+let setup_item () =
+  let e = Engine.create ~now:(Date.of_ymd ~y:2010 ~m:7 ~d:1) () in
+  Stratum.install e;
+  Engine.exec_script e
+    "CREATE TABLE item (id INTEGER, title VARCHAR(50)) WITH VALIDTIME;\n\
+     INSERT INTO item (id, title, begin_time, end_time) VALUES (1, 'One', \
+     DATE '2010-01-01', DATE '9999-12-31'), (2, 'Two', DATE '2010-02-10', \
+     DATE '9999-12-31')";
+  e
+
+let test_plan_cache_options_token () =
+  let e = setup_item () in
+  let cat = Engine.catalog e in
+  let ts = Sqlparse.Parser.parse_temporal_stmt seq_query in
+  (* warm up until the token is stable (first runs register max_
+     routines and scratch tables, invalidating their own plans) *)
+  ignore (Stratum.exec ~strategy:Stratum.Max e ts);
+  ignore (Stratum.exec ~strategy:Stratum.Max e ts);
+  cat.Catalog.options.Catalog.observe <- true;
+  let tr = Catalog.trace cat in
+  let c = Trace.get_count tr in
+  ignore (Stratum.exec ~strategy:Stratum.Max e ts);
+  Alcotest.(check int) "steady state: hit" 1 (c "plan_cache.hit");
+  (* flipping an evaluation option must orphan the cached plan: before
+     the options fingerprint joined the token this was a (stale) hit *)
+  cat.Catalog.options.Catalog.temporal_index <-
+    not cat.Catalog.options.Catalog.temporal_index;
+  Trace.reset tr;
+  ignore (Stratum.exec ~strategy:Stratum.Max e ts);
+  Alcotest.(check int) "option flipped: miss" 1 (c "plan_cache.miss");
+  Alcotest.(check int) "option flipped: no hit" 0 (c "plan_cache.hit");
+  Trace.reset tr;
+  ignore (Stratum.exec ~strategy:Stratum.Max e ts);
+  Alcotest.(check int) "re-cached under new token: hit" 1 (c "plan_cache.hit");
+  (* flipping back differs from the latest cached token again *)
+  cat.Catalog.options.Catalog.temporal_index <-
+    not cat.Catalog.options.Catalog.temporal_index;
+  Trace.reset tr;
+  ignore (Stratum.exec ~strategy:Stratum.Max e ts);
+  Alcotest.(check int) "flipped back: miss" 1 (c "plan_cache.miss")
+
 let suite =
   [
     ( "interval-index",
@@ -394,5 +442,7 @@ let suite =
             `Quick test_ablation_identical;
           Alcotest.test_case "plan cache reuses and invalidates" `Quick
             test_plan_cache;
+          Alcotest.test_case "plan cache: options join the token" `Quick
+            test_plan_cache_options_token;
         ] );
   ]

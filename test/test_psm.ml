@@ -210,6 +210,61 @@ let test_block_scoping () =
   check_rows "inner block shadows then pops" [ [ "1" ] ]
     (rows e "SELECT shadow() FROM nums WHERE n = 1")
 
+(* ------------------------------------------------------------------ *)
+(* Regression: ddl_dump orders by object name                          *)
+(* ------------------------------------------------------------------ *)
+
+let test_ddl_dump_name_order () =
+  let e = Engine.create () in
+  (* registration order zzz-then-aaa, and rendered-text order puts
+     "CREATE FUNCTION zzz" before "CREATE PROCEDURE aaa"; only a sort
+     by *name* lists aaa first *)
+  Engine.exec_script e
+    "CREATE FUNCTION zzz () RETURNS INTEGER BEGIN RETURN 1; END;\n\
+     CREATE PROCEDURE aaa () BEGIN INSERT INTO nowhere VALUES (1); END;\n\
+     CREATE FUNCTION mmm () RETURNS INTEGER BEGIN RETURN 2; END";
+  let dump = Sqleval.Catalog.ddl_dump (Engine.catalog e) in
+  let heads =
+    List.map
+      (fun stmt ->
+        match String.index_opt stmt '(' with
+        | Some i -> String.trim (String.sub stmt 0 i)
+        | None -> stmt)
+      dump
+  in
+  Alcotest.(check (list string))
+    "entries sorted by object name"
+    [ "CREATE PROCEDURE aaa"; "CREATE FUNCTION mmm"; "CREATE FUNCTION zzz" ]
+    heads
+
+(* ------------------------------------------------------------------ *)
+(* Regression: tf_cache is keyed on the catalog generation             *)
+(* ------------------------------------------------------------------ *)
+
+let test_tf_cache_redefine_in_call () =
+  let e = Engine.create () in
+  Taupsm.Stratum.install e;
+  Engine.exec_script e
+    "CREATE TABLE src (v INTEGER);\n\
+     INSERT INTO src VALUES (1);\n\
+     CREATE FUNCTION tf () RETURNS TABLE (v INTEGER) BEGIN RETURN TABLE \
+     (SELECT v FROM src); END;\n\
+     CREATE TABLE outt (a INTEGER, b INTEGER)";
+  (* both invocations happen inside ONE top-level statement, so they
+     share one tf_cache; the CREATE FUNCTION in between bumps the
+     catalog generation and must orphan the first invocation's entry *)
+  Engine.exec_script e
+    "CREATE PROCEDURE redef () BEGIN DECLARE a INTEGER; DECLARE b INTEGER; \
+     SET a = (SELECT MAX(t.v) FROM TABLE(tf()) t); CREATE FUNCTION tf () \
+     RETURNS TABLE (v INTEGER) BEGIN RETURN TABLE (SELECT v + 100 FROM \
+     src); END; SET b = (SELECT MAX(t.v) FROM TABLE(tf()) t); INSERT INTO \
+     outt VALUES (a, b); END;\n\
+     CALL redef()";
+  Alcotest.(check (list (list string)))
+    "second invocation sees the new definition"
+    [ [ "1"; "101" ] ]
+    (rows e "SELECT a, b FROM outt")
+
 let suite =
   [
     ( "psm",
@@ -233,5 +288,9 @@ let suite =
         Alcotest.test_case "routine isolation" `Quick test_routine_isolation;
         Alcotest.test_case "missing return" `Quick test_missing_return;
         Alcotest.test_case "block scoping" `Quick test_block_scoping;
+        Alcotest.test_case "ddl_dump: by-name order" `Quick
+          test_ddl_dump_name_order;
+        Alcotest.test_case "tf_cache: redefine inside CALL" `Quick
+          test_tf_cache_redefine_in_call;
       ] );
   ]

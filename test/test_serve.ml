@@ -745,10 +745,13 @@ let base_cfg =
     lane = Lane.default_config;
   }
 
-let with_server ?(cfg = base_cfg) f =
+let fresh_engine () =
   let e = Engine.create () in
   Stratum.install e;
-  let srv = Server.create ~cfg ~engine:e () in
+  e
+
+let with_server ?(cfg = base_cfg) ?(engine = fresh_engine ()) f =
+  let srv = Server.create ~cfg ~engine () in
   let handle = Server.run_async srv in
   Fun.protect
     ~finally:(fun () ->
@@ -849,6 +852,37 @@ let test_e2e_session () =
             "SELECT grp, COUNT(*) AS n FROM kv GROUP BY grp";
           ]);
       Client.close c)
+
+(* A CALL is routed by what its procedure body can do, not by its
+   syntax: a procedure that INSERTs inside an IF must go through the
+   commit lane, so the row reaches the master engine and every later
+   snapshot. *)
+let test_e2e_served_call_writes () =
+  let master = fresh_engine () in
+  with_server ~engine:master (fun _srv port ->
+      let c = Client.connect ~port () in
+      List.iter
+        (fun sql ->
+          Alcotest.(check bool) (sql ^ ": ok") true (Client.ok (Client.stmt c sql)))
+        [
+          "CREATE TABLE log (a INTEGER)";
+          "CREATE PROCEDURE wr (IN a INTEGER) BEGIN IF a > 0 THEN INSERT \
+           INTO log VALUES (a); END IF; END";
+        ];
+      let writes () =
+        Option.bind (Json.member "stats" (Client.stats c)) (fun s ->
+            Json.member_int s "writes")
+      in
+      let before = writes () in
+      Alcotest.(check bool) "CALL ok" true (Client.ok (Client.stmt c "CALL wr(7)"));
+      Alcotest.(check (option int)) "CALL routed to the commit lane"
+        (Option.map succ before) (writes ());
+      Alcotest.(check (option (list string)))
+        "a later served SELECT sees the row" (Some [ "[7]" ])
+        (Client.row_bag (Client.stmt c "SELECT a FROM log"));
+      Client.close c);
+  Alcotest.(check (list string)) "the master engine holds the row" [ "7" ]
+    (rows_str (Stratum.exec_sql master "SELECT a FROM log"))
 
 let test_e2e_admission_control () =
   with_server
@@ -1021,5 +1055,7 @@ let suite =
         Alcotest.test_case "group commit: 4 writers x 80 UPDATEs" `Slow
           test_e2e_group_commit;
         Alcotest.test_case "SIGTERM drain is graceful" `Slow test_e2e_drain;
+        Alcotest.test_case "served CALL of a writing procedure" `Slow
+          test_e2e_served_call_writes;
       ] );
   ]

@@ -196,6 +196,48 @@ let test_coalesce_result () =
   let sliced = Stratum.timeslice_result rs (d "2010-01-16") in
   check_rows "timeslice" [ [ "a" ]; [ "b" ] ] (List.sort compare (rows_of sliced))
 
+(* [Stratum.read_only] is the server's MVCC routing gate: true sends a
+   statement to a lock-free snapshot reader, false to the single-writer
+   commit lane.  A write reachable through any routine — a CALLed
+   procedure, a function a SELECT evaluates, a handler body, a nested
+   CALL — must route to the lane. *)
+let test_read_only_routing () =
+  let e = fresh () in
+  Engine.exec_script e
+    "CREATE TABLE t (x INTEGER) WITH VALIDTIME;\n\
+     CREATE TABLE log (x INTEGER);\n\
+     CREATE PROCEDURE ro_proc (OUT n INTEGER) BEGIN SET n = (SELECT \
+     COUNT(*) FROM t); END;\n\
+     CREATE PROCEDURE if_writer (IN a INTEGER) BEGIN IF a > 0 THEN INSERT \
+     INTO log VALUES (a); END IF; END;\n\
+     CREATE FUNCTION fn_writer (a INTEGER) RETURNS INTEGER BEGIN INSERT \
+     INTO log VALUES (a); RETURN a; END;\n\
+     CREATE PROCEDURE handler_writer () BEGIN DECLARE v INTEGER; DECLARE \
+     CONTINUE HANDLER FOR NOT FOUND INSERT INTO log VALUES (0); SET v = \
+     (SELECT COUNT(*) FROM t); END;\n\
+     CREATE PROCEDURE calls_writer () BEGIN CALL if_writer(1); END";
+  let cat = Engine.catalog e in
+  List.iter
+    (fun (label, sql, expected) ->
+      Alcotest.(check bool) label expected
+        (Stratum.read_only cat (Sqlparse.Parser.parse_temporal_stmt sql)))
+    [
+      ("plain SELECT", "SELECT x FROM t", true);
+      ("VALIDTIME SELECT", "VALIDTIME SELECT x FROM t", true);
+      ("CALL of a read-only procedure", "CALL ro_proc(0)", true);
+      ("CALL of a procedure writing inside IF", "CALL if_writer(1)", false);
+      ("SELECT of a writing function", "SELECT fn_writer(x) FROM t", false);
+      ("CALL of a procedure whose handler writes", "CALL handler_writer()",
+       false);
+      ("CALL of a procedure calling a writer", "CALL calls_writer()", false);
+      ("sequenced INSERT",
+       "VALIDTIME [DATE '2010-01-01', DATE '2010-02-01') INSERT INTO t (x) \
+        VALUES (1)",
+       false);
+      ("sequenced DELETE",
+       "VALIDTIME [DATE '2010-01-01', DATE '2010-02-01') DELETE FROM t", false);
+    ]
+
 let suite =
   [
     ( "stratum-edge",
@@ -217,5 +259,7 @@ let suite =
           test_nontemporal_routine_all_contexts;
         Alcotest.test_case "coalesce / timeslice utilities" `Quick
           test_coalesce_result;
+        Alcotest.test_case "read_only routes every reachable write" `Quick
+          test_read_only_routing;
       ] );
   ]

@@ -138,7 +138,7 @@ let test_dataset_shapes () =
 
 let test_hotspot_skew () =
   (* DS2's victims concentrate on low item ids: the first decile of
-     items must absorb well over its proportional share of changes. *)
+     items must take well over its proportional share of changes. *)
   let e_uni = Datasets.load { Datasets.ds = Datasets.DS1; size = Taupsm.Heuristic.Small } in
   let e_hot = Datasets.load { Datasets.ds = Datasets.DS2; size = Taupsm.Heuristic.Small } in
   let versions_of_low_items eng =
