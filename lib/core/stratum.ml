@@ -454,20 +454,33 @@ let size_tag = function
   | Heuristic.Medium -> 1
   | Heuristic.Large -> 2
 
-(* Calibration key of a sequenced statement: syntactic fingerprint ×
-   context-length bucket × database size class.  The fingerprint hashes
-   the whole temporal statement, so the same query under contexts in
-   different buckets calibrates separately, while repeated runs of one
-   benchmark query share a single learning curve. *)
+(* Calibration key of a sequenced statement: statement-shape fingerprint
+   × context-length bucket × database size class.  The fingerprint
+   digests the statement with its VALIDTIME period removed, so the same
+   query over any two contexts in one bucket shares a single learning
+   curve — the MAX/PERST choice depends on the query far more than on
+   where its context lies — while statements differing in any other
+   literal calibrate separately. *)
 let calibration_key (e : Engine.t) (ts : temporal_stmt) =
   let cat = Engine.catalog e in
+  let shape =
+    match ts.t_modifier with
+    | Mod_sequenced (Some _) -> { ts with t_modifier = Mod_sequenced None }
+    | _ -> ts
+  in
   let fp =
-    Digest.to_hex (Digest.string (Sqlast.Pretty.temporal_stmt_to_string ts))
+    Digest.to_hex (Digest.string (Sqlast.Pretty.temporal_stmt_to_string shape))
   in
   let ctx = Cost_model.context_of_stmt e ts in
   ( fp,
     Calibration.bucket_of_days (Period.duration ctx),
     size_tag (size_class_of_db cat.Catalog.db) )
+
+(* [None] when the key cannot be computed (say, a context expression
+   that fails to evaluate): Auto then decides by the heuristic and
+   records nothing. *)
+let calibration_key_opt e ts =
+  match calibration_key e ts with k -> Some k | exception _ -> None
 
 type decision_source = Calibrated | Explored | Modeled | Heuristic_fallback
 
@@ -502,16 +515,17 @@ let auto_eligible (ts : temporal_stmt) =
    a pure function of (statement, catalog state), so identical engines
    replaying identical histories choose identically — the property the
    recovery fuzzer's state comparisons lean on. *)
-let decide (e : Engine.t) (ts : temporal_stmt) : strategy * decision_source =
+let decide_keyed (e : Engine.t) (ts : temporal_stmt) key :
+    strategy * decision_source =
   let cat = Engine.catalog e in
   let heuristic () =
     match Heuristic.choose_for e ~db_size:(size_class_of_db cat.Catalog.db) ts with
     | s -> (s, Heuristic_fallback)
     | exception _ -> (Max, Heuristic_fallback)
   in
-  match calibration_key e ts with
-  | exception _ -> heuristic ()
-  | key -> (
+  match key with
+  | None -> heuristic ()
+  | Some key -> (
       let cal = cat.Catalog.calibration in
       let token = Catalog.plan_token cat in
       match Calibration.measured cal ~key ~token with
@@ -546,6 +560,8 @@ let decide (e : Engine.t) (ts : temporal_stmt) : strategy * decision_source =
           | 1 -> (Perst, Modeled)
           | 0 when max_runs >= 2 && perst_runs = 0 -> (Perst, Explored)
           | _ -> (Max, Modeled)))
+
+let decide e ts = decide_keyed e ts (calibration_key_opt e ts)
 
 (* Execute a temporal statement end to end.  Sequenced modifications
    (VALIDTIME INSERT/DELETE/UPDATE) bypass the slicing transformations
@@ -609,8 +625,11 @@ let exec ?strategy (e : Engine.t) (ts : temporal_stmt) : Eval.exec_result =
     && auto_eligible ts
   then begin
     (* Auto: decide, execute, and feed the measured wall time back into
-       the calibration so later decisions are evidence-based. *)
-    let chosen, src = decide e ts in
+       the calibration so later decisions are evidence-based.  The key
+       is computed once: it prints, digests and evaluates the statement
+       and sums every base table's row count. *)
+    let key = calibration_key_opt e ts in
+    let chosen, src = decide_keyed e ts key in
     if Trace.enabled obs then begin
       Trace.count obs
         ("strategy.auto."
@@ -621,19 +640,27 @@ let exec ?strategy (e : Engine.t) (ts : temporal_stmt) : Eval.exec_result =
            (decision_source_to_string src))
     end;
     let record_arm arm_strategy seconds =
-      match calibration_key e ts with
-      | exception _ -> ()
-      | key -> (
+      match key with
+      | None -> ()
+      | Some key -> (
           let cal = cat.Catalog.calibration in
           let token = Catalog.plan_token cat in
           Calibration.record cal ~key ~token
             ~arm:(match arm_strategy with Max -> 0 | Perst -> 1)
             ~seconds;
-          (* A completed measurement may reveal the choice was wrong. *)
+          (* A completed measurement may reveal the choice was wrong.
+             When this run explored the second arm and won, the model's
+             pick was the slower arm all along: each of its earlier runs
+             was a mispredict too. *)
           match Calibration.measured cal ~key ~token with
           | Some (m, p) when Trace.enabled obs ->
               let best = if p < m then Perst else Max in
               if best <> chosen then Trace.count obs "strategy.mispredict" 1
+              else if src = Explored then begin
+                let max_runs, perst_runs = Calibration.runs cal ~key ~token in
+                Trace.count obs "strategy.mispredict"
+                  (if chosen = Max then perst_runs else max_runs)
+              end
           | _ -> ())
     in
     let timed arm_strategy =
@@ -659,9 +686,9 @@ let exec ?strategy (e : Engine.t) (ts : temporal_stmt) : Eval.exec_result =
         | Perst_slicing.Perst_unsupported _ -> (
             (* Statement shape PERST cannot express: remember the
                inapplicability so Auto stops proposing it. *)
-            match calibration_key e ts with
-            | exception _ -> ()
-            | key ->
+            match key with
+            | None -> ()
+            | Some key ->
                 Calibration.set_cm cat.Catalog.calibration ~key
                   ~token:(Catalog.plan_token cat) 2)
         | _ -> ());

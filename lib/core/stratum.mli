@@ -81,8 +81,10 @@ val decision_source_to_string : decision_source -> string
 val calibration_key :
   Sqleval.Engine.t -> Sqlast.Ast.temporal_stmt ->
   string * int * int
-(** The calibration-table key of a sequenced statement: syntactic
-    fingerprint digest × context-length bucket × database size class.
+(** The calibration-table key of a sequenced statement: a digest of
+    the statement with its VALIDTIME period removed × context-length
+    bucket × database size class.  The same query over two contexts in
+    one bucket shares a key; any other literal still separates keys.
     Exposed so tests and benchmarks can seed or inspect
     {!Sqleval.Calibration} entries. *)
 

@@ -1,24 +1,32 @@
-(* Learned strategy calibration: per-(statement, context-bucket,
+(* Learned strategy calibration: per-(statement shape, context-bucket,
    size-class) exponential moving averages of measured MAX and PERST
    wall times, recorded by the stratum's adaptive chooser.
 
    The table is keyed by an opaque statement fingerprint (the stratum
-   digests the pretty-printed statement), a context-length bucket and a
-   size-class tag — so one entry covers re-executions of the same
-   statement shape over comparable contexts and data volumes.  Each
-   entry is stamped with the catalog's plan-cache token: DDL or an
+   digests the pretty-printed statement with its VALIDTIME period
+   removed), a context-length bucket and a size-class tag — so one
+   entry covers every run of the same query over contexts of
+   comparable length and data volumes, whatever the context's dates.
+   Each entry is stamped with the catalog's plan-cache token: DDL or an
    option flip bumps the token and the stale entry is treated as absent
    (and reset on the next write), reusing the plan cache's invalidation
    discipline instead of inventing a parallel one.
 
+   Sharing: one table serves a catalog and every read view and
+   published snapshot taken of it (see {!Catalog.read_view}), so a
+   served read's measurement reaches the master; every operation takes
+   the table's mutex.  {!copy_into} gives engine copies their own.
+
    Persistence: {!save} serializes the whole table as one little-endian
    blob (format version byte first) that rides in the durable store as
-   a named aux record; {!load} replaces the table from a blob, silently
-   loading nothing from an unparseable one — calibration is advisory,
-   so a corrupt blob must never fail recovery.  After recovery the
-   token components (generation, version) differ from the recording
-   session even though the data is identical, so {!stamp_all} re-stamps
-   every entry with the post-recovery token. *)
+   a named aux record; {!take_dirty} does the same for the commit path,
+   clearing the dirty flag under the same lock.  {!load} replaces the
+   table from a blob, silently loading nothing from an unparseable one
+   or one of another version — calibration is advisory, so a corrupt or
+   outdated blob must never fail recovery.  After recovery the token
+   components (generation, version) differ from the recording session
+   even though the data is identical, so {!stamp_all} re-stamps every
+   entry with the post-recovery token. *)
 
 type arm = { mutable ema : float; mutable runs : int }
 
@@ -131,19 +139,17 @@ let stamp_all t token =
   locked t (fun () -> Hashtbl.iter (fun _ e -> e.token <- token) t.tbl)
 
 let size t = locked t (fun () -> Hashtbl.length t.tbl)
-let is_dirty t = t.dirty
-let clear_dirty t = t.dirty <- false
-let mark_dirty t = t.dirty <- true
+let mark_dirty t = locked t (fun () -> t.dirty <- true)
 
 let clear t =
   locked t (fun () ->
       Hashtbl.reset t.tbl;
       t.dirty <- false)
 
-(* Deep content copy (for {!Catalog.copy} / read views): the copy's
-   knowledge starts as a snapshot of the source's and diverges freely —
-   shared mutable calibration across engine copies would leak one
-   run's measurements into another's replay. *)
+(* Deep content copy (for {!Catalog.copy}): the copy's knowledge starts
+   as a snapshot of the source's and diverges freely — shared mutable
+   calibration across engine copies would leak one run's measurements
+   into another's replay. *)
 let copy_into src =
   let dst = create () in
   locked src (fun () ->
@@ -163,7 +169,9 @@ let copy_into src =
 (* Blob format (little-endian, version byte first)                     *)
 (* ------------------------------------------------------------------ *)
 
-let blob_version = 1
+(* Version 2: fingerprints leave the VALIDTIME period out.  Version-1
+   entries digest whole statements and could never match a key again. *)
+let blob_version = 2
 
 let w_u8 b n = Buffer.add_char b (Char.chr (n land 0xff))
 let w_u32 b n = Buffer.add_int32_le b (Int32.of_int n)
@@ -211,31 +219,43 @@ let r_str c =
   c.pos <- c.pos + n;
   v
 
-let save t =
+let serialize t =
+  let b = Buffer.create 256 in
+  w_u8 b blob_version;
+  w_u32 b (Hashtbl.length t.tbl);
+  (* sorted by key so identical tables serialize identically —
+     byte-stable blobs keep crash-fuzz golden comparisons quiet *)
+  Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun ((fp, bkt, sz), e) ->
+         w_str b fp;
+         w_u8 b bkt;
+         w_u8 b sz;
+         let g, v, o = e.token in
+         w_i64 b g;
+         w_i64 b v;
+         w_i64 b o;
+         w_f64 b e.max_arm.ema;
+         w_u32 b e.max_arm.runs;
+         w_f64 b e.perst_arm.ema;
+         w_u32 b e.perst_arm.runs;
+         match e.cm_choice with
+         | None -> w_u8 b 255
+         | Some c -> w_u8 b c);
+  Buffer.contents b
+
+let save t = locked t (fun () -> serialize t)
+
+(* The blob for the commit path: [Some] the whole table if anything was
+   recorded since the last take, clearing the flag under the same lock
+   so a measurement recorded concurrently is never lost. *)
+let take_dirty t =
   locked t (fun () ->
-      let b = Buffer.create 256 in
-      w_u8 b blob_version;
-      w_u32 b (Hashtbl.length t.tbl);
-      (* sorted by key so identical tables serialize identically —
-         byte-stable blobs keep crash-fuzz golden comparisons quiet *)
-      Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.tbl []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.iter (fun ((fp, bkt, sz), e) ->
-             w_str b fp;
-             w_u8 b bkt;
-             w_u8 b sz;
-             let g, v, o = e.token in
-             w_i64 b g;
-             w_i64 b v;
-             w_i64 b o;
-             w_f64 b e.max_arm.ema;
-             w_u32 b e.max_arm.runs;
-             w_f64 b e.perst_arm.ema;
-             w_u32 b e.perst_arm.runs;
-             match e.cm_choice with
-             | None -> w_u8 b 255
-             | Some c -> w_u8 b c);
-      Buffer.contents b)
+      if t.dirty then begin
+        t.dirty <- false;
+        Some (serialize t)
+      end
+      else None)
 
 (* Replace the table from a blob.  Unknown version or any parse failure
    loads nothing: calibration is advisory and must never fail recovery. *)

@@ -70,9 +70,11 @@ and t = {
   calibration : Calibration.t;
       (* learned MAX/PERST timings for the adaptive chooser, stamped
          with {!plan_token} per entry; persisted through the durable
-         store as an aux blob (see {!Persist}).  {!copy} and
-         {!read_view} take content copies — knowledge is inherited but
-         never shared mutable across engines *)
+         store as an aux blob (see {!Persist}).  {!read_view} and
+         {!publish} share this mutex-guarded table, so a served read's
+         measurement reaches the master and its next aux record;
+         {!copy} takes a content copy, so engine copies never see each
+         other's measurements *)
   cp_memo : Cp_memo.t;
       (* memoized constant-period point sets, token-guarded by
          (generation, database version); always fresh in copies and
@@ -389,7 +391,9 @@ let copy cat =
    own budgets) and — unlike {!copy} — both version counters AND the
    compiled-closure cache are preserved, so a view's plan-cache and
    compiled-entry lookups hit the parent's warm entries (the compiled
-   store is mutex-guarded).  Sound only while the underlying database is
+   store is mutex-guarded).  The calibration is the parent's own
+   (mutex-guarded too): what Auto measures on a view, it learns for
+   the parent.  Sound only while the underlying database is
    not mutated; views of a {!publish}ed snapshot are safe forever. *)
 let read_view cat =
   let db = Sqldb.Database.read_view cat.db in
@@ -407,7 +411,7 @@ let read_view cat =
     derived_prefixes = cat.derived_prefixes;
     plan_cache = Hashtbl.create 16;
     compile_ext = cat.compile_ext;
-    calibration = Calibration.copy_into cat.calibration;
+    calibration = cat.calibration;
     cp_memo = Cp_memo.create ();
   }
 
@@ -415,8 +419,8 @@ let read_view cat =
    storage is {!Sqldb.Database.freeze}-d (O(tables) copy-on-write — the
    next write to each live table privatizes its row array, so the
    snapshot never sees a torn state), views/routines/natives are
-   hashtable copies taken at publication time, and version counters are
-   preserved.  The publisher must make the snapshot visible through an
+   hashtable copies taken at publication time, version counters are
+   preserved, and the calibration is shared with the publisher.  The publisher must make the snapshot visible through an
    [Atomic.t] (release/acquire) before other domains read it; readers
    then take a {!read_view} of the snapshot per statement, which is safe
    indefinitely — unlike a read view of a live catalog. *)
@@ -433,6 +437,6 @@ let publish cat =
     derived_prefixes = cat.derived_prefixes;
     plan_cache = Hashtbl.create 16;
     compile_ext = cat.compile_ext;
-    calibration = Calibration.copy_into cat.calibration;
+    calibration = cat.calibration;
     cp_memo = Cp_memo.create ();
   }

@@ -42,11 +42,9 @@ let aux_closures cat =
     else [ (calibration_aux_name, Calibration.save cat.Catalog.calibration) ]
   in
   let aux_dirty () =
-    if Calibration.is_dirty cat.Catalog.calibration then begin
-      Calibration.clear_dirty cat.Catalog.calibration;
-      [ (calibration_aux_name, Calibration.save cat.Catalog.calibration) ]
-    end
-    else []
+    match Calibration.take_dirty cat.Catalog.calibration with
+    | Some blob -> [ (calibration_aux_name, blob) ]
+    | None -> []
   in
   (aux, aux_dirty)
 

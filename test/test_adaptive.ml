@@ -2,7 +2,10 @@
    periods: the Auto chooser's decision ladder (calibrated → explore →
    cost model → heuristic), result equivalence of Auto against both
    forced strategies and against forced MAX on the 16 τPSM queries,
-   the DDL-invalidation regression for memo and calibration,
+   regret counting, context-free calibration keys and the calibration
+   read views share with their master, the blob version and the
+   dirty-flag drain, the DDL-invalidation regression for memo and
+   calibration,
    calibration survival across detach/recover/resume, the qcheck
    property that incrementally-maintained constant periods are
    identical to full recomputation under a random merge/DML stream, and
@@ -222,6 +225,132 @@ let test_explore_unmeasured_arm () =
   | _, src ->
       Alcotest.failf "expected calibrated after exploration, got %s"
         (Stratum.decision_source_to_string src)
+
+(* A wrong model pick is counted once exploration exposes it: the model
+   says MAX, MAX's two seeded runs are far slower than anything real,
+   so the explored PERST run wins and both MAX runs were mispredicts. *)
+let test_explore_counts_regret () =
+  let e = setup () in
+  let cat = Engine.catalog e in
+  cat.Catalog.options.Catalog.auto_strategy <- true;
+  let ts = parse seq_select in
+  let key = Stratum.calibration_key e ts in
+  let token = Catalog.plan_token cat in
+  let cal = cat.Catalog.calibration in
+  Calibration.set_cm cal ~key ~token 0;
+  Calibration.record cal ~key ~token ~arm:0 ~seconds:100.0;
+  Calibration.record cal ~key ~token ~arm:0 ~seconds:100.0;
+  let tr = observed e in
+  ignore (Stratum.exec e ts);
+  Alcotest.(check int) "explored PERST" 1
+    (Trace.get_count tr "strategy.auto.perst");
+  Alcotest.(check int) "both modeled MAX runs were mispredicts" 2
+    (Trace.get_count tr "strategy.mispredict")
+
+(* ------------------------------------------------------------------ *)
+(* Context-free keys and learning shared with read views               *)
+(* ------------------------------------------------------------------ *)
+
+let select_over b e' =
+  Printf.sprintf
+    "VALIDTIME [DATE '%s', DATE '%s') SELECT id, title FROM item WHERE id      <= 2"
+    b e'
+
+let test_key_ignores_context () =
+  let e = setup () in
+  let key sql = Stratum.calibration_key e (parse sql) in
+  (* two 5-day contexts months apart: one bucket, one key *)
+  let a = key (select_over "2024-01-01" "2024-01-06") in
+  Alcotest.(check bool) "same statement, same bucket: one key" true
+    (a = key (select_over "2024-04-10" "2024-04-15"));
+  Alcotest.(check bool) "a 6-month context is another bucket" false
+    (a = key seq_select);
+  Alcotest.(check bool) "another statement body is another key" false
+    (a
+    = key
+        "VALIDTIME [DATE '2024-01-01', DATE '2024-01-06') SELECT id, title          FROM item WHERE id <= 1")
+
+let test_learning_carries_over_contexts () =
+  let e = setup () in
+  (Engine.catalog e).Catalog.options.Catalog.auto_strategy <- true;
+  let on_a = select_over "2024-01-01" "2024-01-06" in
+  (* modeled twice, then the other arm explored *)
+  for _ = 1 to 3 do
+    ignore (Stratum.exec_sql e on_a)
+  done;
+  match Stratum.decide e (parse (select_over "2024-05-01" "2024-05-04")) with
+  | _, Stratum.Calibrated -> ()
+  | _, src ->
+      Alcotest.failf "a new context in the bucket decided by %s"
+        (Stratum.decision_source_to_string src)
+
+let test_read_view_feeds_master () =
+  let e = setup () in
+  let cat = Engine.catalog e in
+  cat.Catalog.options.Catalog.auto_strategy <- true;
+  let ts = parse seq_select in
+  let key = Stratum.calibration_key e ts in
+  let runs c =
+    Calibration.runs c.Catalog.calibration ~key ~token:(Catalog.plan_token c)
+  in
+  let run_on view = ignore (Stratum.exec (Engine.of_catalog view) ts) in
+  run_on (Catalog.read_view (Catalog.publish cat));
+  run_on (Catalog.read_view cat);
+  let m, p = runs cat in
+  Alcotest.(check int) "both view runs measured in the master" 2 (m + p);
+  let copy = Catalog.copy cat in
+  run_on copy;
+  let m', p' = runs cat in
+  Alcotest.(check int) "a copy's run stays in the copy" 2 (m' + p');
+  let cm, cp = runs copy in
+  Alcotest.(check bool) "the copy learned for itself" true (cm + cp > 0)
+
+(* Version-2 blobs round-trip byte for byte; a version-1 blob (whole-
+   statement fingerprints, which no key matches any more) loads
+   nothing. *)
+let test_blob_versions () =
+  let cal = Calibration.create () in
+  let key = ("fp", 1, 2) and token = (1, 2, 3) in
+  Calibration.record cal ~key ~token ~arm:0 ~seconds:0.25;
+  Calibration.record cal ~key ~token ~arm:1 ~seconds:0.5;
+  Calibration.set_cm cal ~key ~token 1;
+  let blob = Calibration.save cal in
+  Alcotest.(check int) "version byte" 2 (Char.code blob.[0]);
+  let back = Calibration.create () in
+  Calibration.load back blob;
+  Alcotest.(check (option (pair (float 0.) (float 0.))))
+    "v2 round-trips the measurement" (Some (0.25, 0.5))
+    (Calibration.measured back ~key ~token);
+  Alcotest.(check string) "v2 round-trips byte for byte" blob
+    (Calibration.save back);
+  let v1 = Bytes.of_string blob in
+  Bytes.set v1 0 '\001';
+  let old = Calibration.create () in
+  Calibration.record old ~key ~token ~arm:0 ~seconds:1.0;
+  Calibration.load old (Bytes.to_string v1);
+  Alcotest.(check int) "v1 loads nothing" 1 (Calibration.size old);
+  Alcotest.(check (pair int int)) "v1 left the table as it was" (1, 0)
+    (Calibration.runs old ~key ~token)
+
+(* The commit path takes the dirty table once; a record after the take
+   makes it dirty again. *)
+let test_take_dirty () =
+  let cal = Calibration.create () in
+  let key = ("fp", 0, 0) and token = (0, 0, 0) in
+  Alcotest.(check bool) "fresh table is clean" true
+    (Calibration.take_dirty cal = None);
+  Calibration.record cal ~key ~token ~arm:0 ~seconds:0.1;
+  Alcotest.(check bool) "a record dirties it" true
+    (Calibration.take_dirty cal <> None);
+  Alcotest.(check bool) "taken once" true (Calibration.take_dirty cal = None);
+  Calibration.record cal ~key ~token ~arm:1 ~seconds:0.1;
+  match Calibration.take_dirty cal with
+  | Some blob ->
+      let back = Calibration.create () in
+      Calibration.load back blob;
+      Alcotest.(check bool) "the taken blob holds the new record" true
+        (Calibration.measured back ~key ~token <> None)
+  | None -> Alcotest.fail "record after a take was lost"
 
 (* ------------------------------------------------------------------ *)
 (* DDL invalidation: the satellite regression                          *)
@@ -590,6 +719,18 @@ let suite =
           test_calibrated_beats_model;
         Alcotest.test_case "unmeasured arm is explored once" `Quick
           test_explore_unmeasured_arm;
+        Alcotest.test_case "exploration counts the model's regret" `Quick
+          test_explore_counts_regret;
+        Alcotest.test_case "the key ignores the context's dates" `Quick
+          test_key_ignores_context;
+        Alcotest.test_case "learning carries over to a new context" `Quick
+          test_learning_carries_over_contexts;
+        Alcotest.test_case "read views feed the master calibration" `Quick
+          test_read_view_feeds_master;
+        Alcotest.test_case "calibration blob versions" `Quick
+          test_blob_versions;
+        Alcotest.test_case "dirty calibration is taken once" `Quick
+          test_take_dirty;
         Alcotest.test_case "DDL invalidates memo and calibration" `Quick
           test_ddl_invalidation;
         Alcotest.test_case "merge splices keep the memo warm" `Quick
