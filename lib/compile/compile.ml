@@ -161,11 +161,10 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
       (List.map
          (fun (tr, on) ->
            match tr with
-           | Tref (name, alias) -> (
+           | Select_plan.From_name (name, alias) -> (
                match Database.find_table cat.Catalog.db name with
                | Some t ->
                    let schema = Table.schema t in
-                   let alias = lc (Option.value alias ~default:name) in
                    ( name,
                      {
                        Select_plan.alias;
@@ -177,7 +176,7 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
            | _ -> raise Unsupported)
          from)
   in
-  let plan = Select_plan.plan cat.Catalog.options s join_conjuncts sources in
+  let plan = Select_plan.plan cat s join_conjuncts sources in
   let levels = plan.Select_plan.levels in
   let n = Array.length levels in
   let find_alias lq =

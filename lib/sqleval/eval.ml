@@ -296,10 +296,9 @@ let atomically env f =
     let j = Database.undo db in
     if Undo_log.is_active j then begin
       let sp = Undo_log.savepoint j in
-      (* WAL savepoint in step with the undo one: the raise below can
-         be swallowed upstream (try_materialize's lateral-subquery
-         probe) with the outer statement still committing, so the
-         rolled-back scope's buffered events must go too. *)
+      (* WAL savepoint in step with the undo one: should a caller
+         catch the raise below and let the outer statement commit, the
+         rolled-back scope's buffered events must not go with it. *)
       let wsp = Database.wal_savepoint db in
       try f ()
       with e when not (control_exn e) ->
@@ -614,98 +613,52 @@ and dedupe_rows rows =
       end)
     rows
 
-(* Resolve a FROM item into (alias, columns, row source).
-
-   A derived table (or view) whose query references a sibling FROM item
-   cannot be materialized up front; when its evaluation fails on an
-   unknown column we defer it to join time (`Lateral_sub`), giving it
-   quasi-LATERAL semantics.  Genuine unknown-column errors re-raise
-   identically during the join. *)
-and eval_table_ref env (tr : table_ref) :
-    string
-    * string array
+(* Resolve a FROM item into its columns and row source.  A closed item
+   (see {!Select_plan.correlated}) is evaluated here, once, before the
+   join — even when a sibling turns out empty, as a non-LATERAL derived
+   table is in SQL; a correlated one is re-evaluated at every row of the
+   items before it. *)
+and resolve_item env (it : Select_plan.item) ~correlated :
+    string array
     * [ `Rows of Value.t array list
       | `Scan of Table.t
       | `Lateral of expr list * string
       | `Lateral_sub of query ]
     =
-  let try_materialize alias q =
-    match eval_query env q with
-    | rs ->
-        ( alias,
-          Array.of_list (List.map String.lowercase_ascii rs.Result_set.cols),
-          `Rows rs.Result_set.rows )
-    | exception Sql_error msg
-      when String.length msg >= 14 && String.sub msg 0 14 = "unknown column" ->
-        (* Column names must still be known up front: take them from a
-           probe evaluation against empty bindings is impossible, so
-           derive them from the query's projection. *)
-        ( alias,
-          Array.of_list (List.map String.lowercase_ascii (query_columns env q)),
-          `Lateral_sub q )
+  let derived q =
+    if correlated then
+      match Select_plan.query_columns env.cat q with
+      | Some cols -> (cols, `Lateral_sub q)
+      | None -> sql_error "cannot infer the columns of a lateral derived table"
+    else
+      let rs = eval_query env q in
+      ( Array.of_list (List.map String.lowercase_ascii rs.Result_set.cols),
+        `Rows rs.Result_set.rows )
   in
-  match tr with
-  | Tref (name, alias) -> (
-      let alias = Option.value alias ~default:name in
+  match it with
+  | Select_plan.From_name (name, _) -> (
       match Database.find_table env.cat.Catalog.db name with
-      | Some t -> (alias, Select_plan.columns (Table.schema t), `Scan t)
+      | Some t -> (Select_plan.columns (Table.schema t), `Scan t)
       | None -> (
           match Catalog.find_view env.cat name with
-          | Some q -> try_materialize alias q
+          | Some q -> derived q
           | None -> sql_error "unknown table or view %s" name))
-  | Tsub (q, alias) -> try_materialize alias q
-  | Tjoin _ ->
-      (* Joins are flattened by eval_select before sources are resolved. *)
-      assert false
-  | Tfun (fname, args, alias) ->
+  | Select_plan.From_query (q, _) -> derived q
+  | Select_plan.From_fun (fname, args, _) ->
       let cols =
-        match Catalog.find_native_table_fun env.cat fname with
-        | Some ntf ->
-            Array.of_list (List.map String.lowercase_ascii ntf.Catalog.ntf_cols)
-        | None -> (
-            match Catalog.find_function env.cat fname with
-            | Some { r_returns = Some (Ret_table cds); _ } ->
-                Array.of_list
-                  (List.map (fun cd -> String.lowercase_ascii cd.cd_name) cds)
-            | Some _ -> sql_error "%s is not a table function" fname
-            | None -> sql_error "unknown table function %s" fname)
+        match Select_plan.table_fun_columns env.cat fname with
+        | Ok cols -> cols
+        | Error msg -> raise (Sql_error msg)
       in
-      (alias, cols, `Lateral (args, fname))
+      if correlated then (cols, `Lateral (args, fname))
+      else (cols, `Rows (table_function_rows env fname args))
 
-(* The output column names of a query, statically (used when a lateral
-   derived table cannot be materialized up front).  Star projections of
-   base tables are resolvable; anything else must use explicit names. *)
-and query_columns env (q : query) : string list =
-  match q with
-  | Select s ->
-      List.concat_map
-        (function
-          | Proj_expr (_, Some a) -> [ a ]
-          | Proj_expr (Col (_, c), None) -> [ c ]
-          | Proj_expr (_, None) -> [ "?column?" ]
-          | Star ->
-              let rec cols_of = function
-                | Tref (name, _) -> (
-                    match Database.find_table env.cat.Catalog.db name with
-                    | Some t ->
-                        List.map
-                          (fun c -> c.Schema.col_name)
-                          (Table.schema t).Schema.columns
-                    | None -> sql_error "cannot infer columns of %s" name)
-                | Tjoin (l, _, r, _) -> cols_of l @ cols_of r
-                | _ ->
-                    sql_error
-                      "cannot infer the columns of a lateral derived table \
-                       with SELECT *"
-              in
-              List.concat_map cols_of s.from
-          | Qual_star _ ->
-              sql_error
-                "cannot infer the columns of a lateral derived table with \
-                 qualified *")
-        s.proj
-  | Union (_, a, _) | Except (_, a, _) | Intersect (_, a, _) ->
-      query_columns env a
+(* A table function's rows for [args] evaluated in the current frames;
+   a NULL argument yields no rows. *)
+and table_function_rows env fname args =
+  let argv = List.map (eval_expr env) args in
+  if List.exists Value.is_null argv then []
+  else (invoke_table_function env fname argv).Result_set.rows
 
 (* Invoke a table function, memoizing on argument values for the duration
    of the enclosing top-level statement.  Native table functions are not
@@ -746,21 +699,37 @@ and eval_select env (s : select) : Result_set.t =
 
 and eval_select_interp env (s : select) : Result_set.t =
   let from, join_conjuncts = Select_plan.flatten s in
-  let resolved = List.map (fun (tr, on) -> (eval_table_ref env tr, on)) from in
+  let items = Array.of_list (List.map fst from) in
+  let correlated = Select_plan.correlated env.cat items in
+  let resolved =
+    Array.mapi
+      (fun i it -> resolve_item env it ~correlated:correlated.(i))
+      items
+  in
   let plan =
-    Select_plan.plan env.cat.Catalog.options s join_conjuncts
-      (List.map
-         (fun ((alias, cols, src), on) ->
+    Select_plan.plan env.cat s join_conjuncts
+      (List.mapi
+         (fun i (it, on) ->
+           let cols, src = resolved.(i) in
            let kind =
              match src with
              | `Scan t -> Select_plan.Base (Table.schema t)
              | `Rows _ -> Select_plan.Derived
              | `Lateral _ | `Lateral_sub _ -> Select_plan.Lateral
            in
-           { Select_plan.alias = String.lowercase_ascii alias; cols; kind; on })
-         resolved)
+           { Select_plan.alias = Select_plan.item_alias it; cols; kind; on })
+         from)
   in
-  let srcs = Array.of_list (List.map (fun ((_, _, src), _) -> src) resolved) in
+  let srcs = Array.map snd resolved in
+  let binds = Select_plan.bindings plan in
+  (* A correlated item is evaluated with only the items before it bound
+     (and the enclosing queries' frames). *)
+  let outer = env.frames in
+  let lateral i f =
+    let frames = env.frames in
+    env.frames <- Array.to_list (Array.sub binds 0 i) :: outer;
+    Fun.protect ~finally:(fun () -> env.frames <- frames) f
+  in
   (* Base-table rows and hash indexes are built at most once per
      evaluation; lateral sources re-evaluate at every outer row. *)
   let scanned = Array.map (fun _ -> None) srcs in
@@ -780,10 +749,8 @@ and eval_select_interp env (s : select) : Result_set.t =
             scanned.(i) <- Some rows;
             rows)
     | `Lateral (args, fname) ->
-        let argv = List.map (eval_expr env) args in
-        if List.exists Value.is_null argv then []
-        else (invoke_table_function env fname argv).Result_set.rows
-    | `Lateral_sub q -> (eval_query env q).Result_set.rows
+        lateral i (fun () -> table_function_rows env fname args)
+    | `Lateral_sub q -> lateral i (fun () -> (eval_query env q).Result_set.rows)
   in
   let hash i ci =
     match hashed.(i) with
@@ -798,7 +765,6 @@ and eval_select_interp env (s : select) : Result_set.t =
     | `Scan t -> Some (t, Select_plan.tt_filter (Table.schema t) env.tt_mode)
     | `Rows _ | `Lateral _ | `Lateral_sub _ -> None
   in
-  let binds = Select_plan.bindings plan in
   let bindings = Array.to_list binds in
   run_select env s plan binds ~value:(eval_expr env)
     ~pass:(Array.for_all (fun c -> truthy (eval_expr env c)))
@@ -855,12 +821,7 @@ and projection_columns env s (bindings : binding list) =
           | Some b -> Array.to_list b.b_cols
           | None -> sql_error "unknown alias %s.*" q)
       | Proj_expr (_, Some a) -> [ a ]
-      | Proj_expr (Col (_, c), None) -> [ c ]
-      | Proj_expr (Agg (af, _, _), None) ->
-          [ String.lowercase_ascii (match af with
-              | Count_star | Count -> "count" | Sum -> "sum" | Avg -> "avg"
-              | Min -> "min" | Max -> "max") ]
-      | Proj_expr (_, None) -> [ "?column?" ])
+      | Proj_expr (e, None) -> [ Select_plan.column_name e ])
     s.proj
   |> fun cols ->
   ignore env;

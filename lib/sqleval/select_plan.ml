@@ -81,25 +81,49 @@ let rec split_conjuncts = function
   | Binop (And, a, b) -> split_conjuncts a @ split_conjuncts b
   | e -> [ e ]
 
+(* ------------------------------------------------------------------ *)
+(* FROM items                                                          *)
+(* ------------------------------------------------------------------ *)
+
+type item =
+  | From_name of string * string
+  | From_query of query * string
+  | From_fun of string * expr list * string
+
+let item_alias = function
+  | From_name (_, a) | From_query (_, a) | From_fun (_, _, a) -> a
+
+(* The items of a FROM entry, prepended to [acc] in reverse order;
+   [ons], the ON conditions of its joins. *)
+let rec leaves acc = function
+  | Tjoin (l, _, r, _) -> leaves (leaves acc l) r
+  | Tref (name, alias) ->
+      From_name (name, lc (Option.value alias ~default:name)) :: acc
+  | Tsub (q, alias) -> From_query (q, lc alias) :: acc
+  | Tfun (f, args, alias) -> From_fun (f, args, lc alias) :: acc
+
+let rec ons acc = function
+  | Tjoin (l, _, r, on) -> ons (ons (on :: acc) l) r
+  | _ -> acc
+
+let from_items from = List.rev (List.fold_left leaves [] from)
+
 (* Flatten explicit joins: inner-join ON conditions become ordinary
    conjuncts; a left join marks its right side with the ON condition so
    the join loop can null-extend unmatched combinations. *)
-let flatten (s : select) : (table_ref * expr option) list * expr list =
+let flatten (s : select) : (item * expr option) list * expr list =
   let rec go (tr : table_ref) =
     match tr with
     | Tjoin (l, Jinner, r, on) ->
         let ul, cl = go l in
         let ur, cr = go r in
         (ul @ ur, cl @ cr @ [ on ])
+    | Tjoin (_, Jleft, Tjoin _, _) ->
+        sql_error "a nested join on the right of a LEFT JOIN is not supported"
     | Tjoin (l, Jleft, r, on) ->
         let ul, cl = go l in
-        (match r with
-        | Tjoin _ ->
-            sql_error
-              "a nested join on the right of a LEFT JOIN is not supported"
-        | _ -> ());
-        (ul @ [ (r, Some on) ], cl)
-    | _ -> ([ (tr, None) ], [])
+        (ul @ List.map (fun it -> (it, Some on)) (leaves [] r), cl)
+    | _ -> (List.map (fun it -> (it, None)) (leaves [] tr), [])
   in
   List.fold_left
     (fun (us, cs) tr ->
@@ -107,35 +131,208 @@ let flatten (s : select) : (table_ref * expr option) list * expr list =
       (us @ u, cs @ c))
     ([], []) s.from
 
+let column_name = function
+  | Col (_, c) -> c
+  | Agg ((Count_star | Count), _, _) -> "count"
+  | Agg (Sum, _, _) -> "sum"
+  | Agg (Avg, _, _) -> "avg"
+  | Agg (Min, _, _) -> "min"
+  | Agg (Max, _, _) -> "max"
+  | _ -> "?column?"
+
+let table_fun_columns (cat : Catalog.t) fname =
+  match Catalog.find_native_table_fun cat fname with
+  | Some ntf -> Ok (Array.of_list (List.map lc ntf.Catalog.ntf_cols))
+  | None -> (
+      match Catalog.find_function cat fname with
+      | Some { r_returns = Some (Ret_table cds); _ } ->
+          Ok (Array.of_list (List.map (fun cd -> lc cd.cd_name) cds))
+      | Some _ -> Error (Printf.sprintf "%s is not a table function" fname)
+      | None -> Error (Printf.sprintf "unknown table function %s" fname))
+
+(* A view a FROM item names; [seen] holds the views being expanded, so a
+   view defined over itself is not entered again. *)
+let view_of (cat : Catalog.t) seen name =
+  match Sqldb.Database.find_table cat.Catalog.db name with
+  | Some _ -> None
+  | None -> (
+      match Catalog.find_view cat name with
+      | Some q when not (List.mem (lc name) seen) -> Some (q, lc name :: seen)
+      | _ -> None)
+
+(* Output columns, statically and lowercase, named as the evaluator
+   names them. *)
+let rec item_cols cat seen = function
+  | From_name (name, _) -> (
+      match Sqldb.Database.find_table cat.Catalog.db name with
+      | Some t -> Some (columns (Table.schema t))
+      | None ->
+          Option.bind (view_of cat seen name) (fun (q, seen) ->
+              query_cols cat seen q))
+  | From_query (q, _) -> query_cols cat seen q
+  | From_fun (f, _, _) -> Result.to_option (table_fun_columns cat f)
+
+and query_cols cat seen = function
+  | Union (_, a, _) | Except (_, a, _) | Intersect (_, a, _) ->
+      query_cols cat seen a
+  | Select s ->
+      let items = from_items s.from in
+      let proj = function
+        | Star ->
+            List.fold_left
+              (fun acc it ->
+                match (acc, item_cols cat seen it) with
+                | Some acc, Some cols -> Some (acc @ [ cols ])
+                | _ -> None)
+              (Some []) items
+        | Qual_star q ->
+            Option.bind
+              (List.find_opt (fun it -> item_alias it = lc q) items)
+              (fun it -> Option.map (fun c -> [ c ]) (item_cols cat seen it))
+        | Proj_expr (_, Some a) -> Some [ [| lc a |] ]
+        | Proj_expr (e, None) -> Some [ [| lc (column_name e) |] ]
+      in
+      List.fold_left
+        (fun acc p ->
+          match (acc, proj p) with
+          | Some acc, Some cols -> Some (acc @ cols)
+          | _ -> None)
+        (Some []) s.proj
+      |> Option.map Array.concat
+
+let query_columns cat q = query_cols cat [] q
+
+(* A column reference that leaves the scopes of the expression or query
+   holding it: its qualifier and name (lowercase), and whether an inner
+   scope had statically unknown columns, so that an unqualified name may
+   resolve there after all. *)
+type outward = { o_qual : string option; o_col : string; o_maybe_inner : bool }
+
+(* The outward references of a FROM item, found the way {!Eval}'s
+   column lookup resolves names: a qualifier names the innermost FROM
+   item with that alias; an unqualified name, the innermost scope with a
+   FROM item carrying that column.  Routine bodies run in their own
+   environment, so calls are not entered; view bodies are. *)
+let outward_refs (cat : Catalog.t) (it : item) : outward list =
+  let resolve scopes acc q c =
+    let c = lc c in
+    match q with
+    | Some q ->
+        let q = lc q in
+        if List.exists (List.exists (fun (a, _) -> a = q)) scopes then acc
+        else { o_qual = Some q; o_col = c; o_maybe_inner = false } :: acc
+    | None ->
+        let carries = function
+          | _, Some cols -> Array.mem c cols
+          | _, None -> false
+        in
+        if List.exists (List.exists carries) scopes then acc
+        else
+          {
+            o_qual = None;
+            o_col = c;
+            o_maybe_inner =
+              List.exists (List.exists (fun (_, cols) -> cols = None)) scopes;
+          }
+          :: acc
+  in
+  let rec expr seen scopes acc e =
+    match e with
+    | Col (q, c) -> resolve scopes acc q c
+    | Exists q | Scalar_subquery q -> query seen scopes acc q
+    | In_pred (_, In_query q, _) ->
+        query seen scopes (fold_expr_children (expr seen scopes) acc e) q
+    | _ -> fold_expr_children (expr seen scopes) acc e
+  and query seen scopes acc q =
+    List.fold_left (select seen scopes) acc (query_selects q)
+  and select seen scopes acc s =
+    let items = from_items s.from in
+    let scopes =
+      List.map (fun it -> (item_alias it, item_cols cat seen it)) items
+      :: scopes
+    in
+    let ex = expr seen scopes in
+    let opt acc = Option.fold ~none:acc ~some:(ex acc) in
+    let acc = List.fold_left (item seen scopes) acc items in
+    let acc = List.fold_left ex acc (List.fold_left ons [] s.from) in
+    let acc =
+      List.fold_left
+        (fun acc -> function Proj_expr (e, _) -> ex acc e | _ -> acc)
+        acc s.proj
+    in
+    let acc = List.fold_left ex (opt acc s.where) s.group_by in
+    let acc =
+      List.fold_left (fun acc (e, _) -> ex acc e) (opt acc s.having) s.order_by
+    in
+    opt (opt acc s.offset) s.fetch_first
+  and item seen scopes acc = function
+    | From_name (name, _) -> (
+        match view_of cat seen name with
+        | Some (q, seen) -> query seen scopes acc q
+        | None -> acc)
+    | From_query (q, _) -> query seen scopes acc q
+    | From_fun (_, args, _) -> List.fold_left (expr seen scopes) acc args
+  in
+  item [] [] [] it
+
+let correlated (cat : Catalog.t) (items : item array) : bool array =
+  let n = Array.length items in
+  let cols = Array.map (fun it -> lazy (item_cols cat [] it)) items in
+  let rec first p j stop =
+    if j >= stop then None else if p j then Some j else first p (j + 1) stop
+  in
+  let not_preceding i j col =
+    let a = item_alias items.(i) in
+    if i = j then sql_error "FROM item %s refers to itself" a
+    else
+      sql_error
+        "FROM item %s refers to %s%s, which follows it: a FROM item sees only \
+         the items before it"
+        a
+        (match col with Some c -> "column " ^ c ^ " of " | None -> "")
+        (item_alias items.(j))
+  in
+  Array.mapi
+    (fun i it ->
+      List.fold_left
+        (fun corr r ->
+          match r.o_qual with
+          | Some q -> (
+              match first (fun j -> item_alias items.(j) = q) 0 n with
+              | Some j when j < i -> true
+              | Some j -> not_preceding i j None
+              | None -> corr)
+          | None -> (
+              (* a sibling whose columns are not known statically may
+                 carry the name: that makes an item before this one a
+                 dependence, but an item after it no error *)
+              let carries ~unknown j =
+                match Lazy.force cols.(j) with
+                | Some cs -> Array.mem r.o_col cs
+                | None -> unknown
+              in
+              if first (carries ~unknown:true) 0 i <> None then true
+              else
+                match first (carries ~unknown:false) (i + 1) n with
+                | Some j when not r.o_maybe_inner ->
+                    not_preceding i j (Some r.o_col)
+                | _ -> corr))
+        false (outward_refs cat it))
+    items
+
 let rec has_agg e =
   match e with
   | Agg _ -> true
   | _ -> fold_expr_children (fun acc e -> acc || has_agg e) false e
-
-(* The qualifiers of a select block's column references, shallowly:
-   nested subqueries are not entered. *)
-let qualifiers (sel : select) : string list =
-  let rec refs acc (e : expr) =
-    match e with
-    | Col (Some q, _) -> q :: acc
-    | _ -> fold_expr_children refs acc e
-  in
-  let acc =
-    List.fold_left
-      (fun acc -> function Proj_expr (e, _) -> refs acc e | _ -> acc)
-      [] sel.proj
-  in
-  let acc = Option.fold ~none:acc ~some:(refs acc) sel.where in
-  let acc = List.fold_left refs acc sel.group_by in
-  Option.fold ~none:acc ~some:(refs acc) sel.having
 
 let has_fun_call e =
   fold_expr_funcalls
     (fun acc name _ -> acc || not (Builtins.is_builtin name))
     false e
 
-let plan (o : Catalog.options) (s : select) (join_conjuncts : expr list)
+let plan (cat : Catalog.t) (s : select) (join_conjuncts : expr list)
     (sources : source list) : expr t =
+  let o = cat.Catalog.options in
   let srcs = Array.of_list sources in
   let n = Array.length srcs in
   let find p =
@@ -154,24 +351,24 @@ let plan (o : Catalog.options) (s : select) (join_conjuncts : expr list)
   in
   (* Which levels does an expression reference?  An unqualified column
      counts for the first source carrying it; subqueries contribute
-     their qualified (correlated) references. *)
+     their outward (correlated) references. *)
+  let level_of q c =
+    match q with
+    | Some q -> level_of_alias q
+    | None -> find (fun sr -> Array.exists (String.equal (lc c)) sr.cols)
+  in
   let rec levels acc (e : expr) =
     let add lvl acc = match lvl with Some l -> l :: acc | None -> acc in
     match e with
-    | Col (Some q, _) -> add (level_of_alias q) acc
-    | Col (None, c) -> (
-        let c = lc c in
-        match find (fun sr -> Array.exists (String.equal c) sr.cols) with
-        | Some i -> add (level_of_alias srcs.(i).alias) acc
-        | None -> acc)
+    | Col (q, c) -> add (level_of q c) acc
     | _ ->
         let acc =
           match e with
           | Exists q | Scalar_subquery q | In_pred (_, In_query q, _) ->
               List.fold_left
-                (fun acc q -> add (level_of_alias q) acc)
+                (fun acc r -> add (level_of r.o_qual r.o_col) acc)
                 acc
-                (List.concat_map qualifiers (query_selects q))
+                (outward_refs cat (From_query (q, "")))
           | _ -> acc
         in
         fold_expr_children levels acc e

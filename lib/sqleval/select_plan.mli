@@ -28,9 +28,10 @@ type tt_mode = [ `Current | `Asof of Sqldb.Date.t | `All ]
 (** {1 Plans} *)
 
 (** What a FROM item is, as far as planning cares: a base table (period
-    windows apply to temporal ones), materialised rows (a view or derived
-    table), or a source re-evaluated at every outer row (a table function
-    or correlated derived table). *)
+    windows apply to temporal ones), materialised rows (a closed view,
+    derived table or table function, evaluated once before the join), or
+    a source re-evaluated at every outer row (a correlated one; see
+    {!correlated}). *)
 type kind = Base of Sqldb.Schema.t | Derived | Lateral
 
 val columns : Sqldb.Schema.t -> string array
@@ -85,22 +86,65 @@ type 'e t = {
   join_event : string;  (** the [join] trace event's text *)
 }
 
+(** {1 FROM items} *)
+
+(** A FROM item once joins are flattened away; aliases are lowercase
+    (a table's or view's defaults to its name). *)
+type item =
+  | From_name of string * string  (** a base table or view, and its alias *)
+  | From_query of Sqlast.Ast.query * string  (** a derived table *)
+  | From_fun of string * Sqlast.Ast.expr list * string
+      (** [TABLE(f(args)) alias] *)
+
+val item_alias : item -> string
+
 val flatten :
   Sqlast.Ast.select ->
-  (Sqlast.Ast.table_ref * Sqlast.Ast.expr option) list * Sqlast.Ast.expr list
+  (item * Sqlast.Ast.expr option) list * Sqlast.Ast.expr list
 (** The SELECT's FROM items in order, each with its LEFT JOIN [ON], and
     the inner joins' [ON] conjuncts.
     @raise Sql_error on a nested join right of a LEFT JOIN. *)
 
+val column_name : Sqlast.Ast.expr -> string
+(** The output column name of an unaliased projection. *)
+
+val table_fun_columns : Catalog.t -> string -> (string array, string) result
+(** A table function's declared columns, lowercase, or why it has none. *)
+
+val query_columns : Catalog.t -> Sqlast.Ast.query -> string array option
+(** A query's output columns, statically and lowercase, as the evaluator
+    names them; [None] where they rest on an unknown table or function,
+    an unknown [q.*] or a view defined over itself. *)
+
+val correlated : Catalog.t -> item array -> bool array
+(** Which FROM items of one SELECT read a sibling's row, decided
+    statically with the evaluator's name resolution.  An item is
+    correlated when one of its column references — in a table function's
+    arguments, a derived table's or view's query, or any subquery
+    nested in them — resolves to a sibling before it:
+    - a qualified [q.c] whose [q] is a sibling alias that no inner FROM
+      alias shadows;
+    - an unqualified [c] that no inner scope carries and some sibling
+      does (or may: where a scope's columns are not known statically, a
+      name a sibling carries counts).
+    The item's own columns are not a sibling's.  Names that resolve to
+    nothing in FROM — routine parameters, PSM variables, columns of
+    enclosing queries — leave the item closed.
+    @raise Sql_error when an item refers to itself or to a later item
+    (a FROM item sees only those before it, as under SQL's LATERAL). *)
+
+(** {1 Planning} *)
+
 val plan :
-  Catalog.options ->
+  Catalog.t ->
   Sqlast.Ast.select ->
   Sqlast.Ast.expr list ->
   source list ->
   Sqlast.Ast.expr t
-(** [plan options s join_conjuncts sources] places every conjunct at the
-    earliest level binding each alias it references and picks each
-    level's access path, honouring [hash_joins] and [temporal_index].
+(** [plan cat s join_conjuncts sources] places every conjunct at the
+    earliest level binding each alias it references (a subquery's
+    references as {!correlated} resolves them) and picks each level's
+    access path, honouring [hash_joins] and [temporal_index].
     [sources] are {!flatten}'s FROM items, resolved. *)
 
 val map : ('a -> 'b) -> 'a t -> 'b t

@@ -83,7 +83,11 @@ let random_engine seed =
   Taupsm.Stratum.install e;
   Engine.exec_script e
     "CREATE TABLE t (k INTEGER, g INTEGER) WITH VALIDTIME;\n\
-     CREATE TABLE lab (g INTEGER, name VARCHAR(10))";
+     CREATE TABLE lab (g INTEGER, name VARCHAR(10));\n\
+     CREATE VIEW named_lab AS SELECT g, name FROM lab WHERE g IS NOT NULL;\n\
+     CREATE FUNCTION labs_from (x INTEGER) RETURNS TABLE (g INTEGER, name \
+     VARCHAR(10)) READS SQL DATA LANGUAGE SQL BEGIN RETURN TABLE (SELECT g, \
+     name FROM lab WHERE g >= x); END";
   Engine.exec e
     "INSERT INTO lab VALUES (0, 'zero'), (1, 'one'), (2, 'two'), (3, \
      'three'), (NULL, 'none')"
@@ -115,16 +119,18 @@ let random_engine seed =
    planner: a hash join over NULL-bearing keys, a LEFT JOIN whose ON
    carries a period window, a begin_time equality (indexed, never
    elided; hash joins are off for it, since an equality with a constant
-   side is otherwise a hash probe) and an exact period window (indexed,
-   both comparisons elided).  Returns the query and the [hash_joins]
-   setting to run it under. *)
+   side is otherwise a hash probe), an exact period window (indexed,
+   both comparisons elided), and FROM items the compiler leaves to the
+   interpreter: a closed table function, one correlated on the item
+   before it, a closed and a correlated derived table, and a view.
+   Returns the query and the [hash_joins] setting to run it under. *)
 let random_db_query seed =
   let st = Random.State.make [| 0x5ba9e; seed |] in
   let day () =
     Date.to_string
       (Date.add_days (Date.of_ymd ~y:2010 ~m:1 ~d:1) (Random.State.int st 300))
   in
-  match Random.State.int st 4 with
+  match Random.State.int st 9 with
   | 0 ->
       ( "VALIDTIME [DATE '2010-03-01', DATE '2010-06-01') SELECT t.k, \
          lab.name FROM t, lab WHERE t.g = lab.g AND (t.k < 50 OR t.k IS NULL)",
@@ -142,11 +148,36 @@ let random_db_query seed =
            DATE '%s'"
           (day ()),
         false )
-  | _ ->
+  | 3 ->
       ( Printf.sprintf
           "NONSEQUENCED VALIDTIME SELECT t.k, t.end_time FROM t WHERE \
            t.begin_time < DATE '%s' AND t.end_time > DATE '%s'"
           (day ()) (day ()),
+        true )
+  | 4 ->
+      ( Printf.sprintf
+          "VALIDTIME [DATE '2010-03-01', DATE '2010-06-01') SELECT t.k, f.name \
+           FROM t, TABLE(labs_from(%d)) f WHERE t.g = f.g"
+          (Random.State.int st 4),
+        true )
+  | 5 ->
+      ( "NONSEQUENCED VALIDTIME SELECT t.k, f.name FROM t, \
+         TABLE(labs_from(t.g)) f WHERE f.g <= t.g + 1",
+        true )
+  | 6 ->
+      ( Printf.sprintf
+          "NONSEQUENCED VALIDTIME SELECT t.k, d.name FROM t, (SELECT g, name \
+           FROM lab WHERE g < %d) d WHERE t.g = d.g AND t.begin_time < DATE \
+           '%s'"
+          (Random.State.int st 4) (day ()),
+        true )
+  | 7 ->
+      ( "NONSEQUENCED VALIDTIME SELECT t.k, d.n FROM t, (SELECT COUNT(*) AS \
+         n FROM lab WHERE lab.g > t.g) d",
+        true )
+  | _ ->
+      ( "VALIDTIME [DATE '2010-03-01', DATE '2010-06-01') SELECT t.k, \
+         v.name FROM t, named_lab v WHERE t.g = v.g",
         true )
 
 (* The counters of the planner's access paths: both evaluators run the
@@ -154,7 +185,7 @@ let random_db_query seed =
 let access_counters =
   [
     "scan.indexed"; "scan.hash"; "scan.full"; "scan.residual_fallback";
-    "rows.probed"; "rows.matched"; "conjuncts.elided";
+    "scan.lateral"; "rows.probed"; "rows.matched"; "conjuncts.elided";
   ]
 
 let prop_random_db_equivalence seed =

@@ -215,12 +215,12 @@ let golden_max =
       "-- plan --";
       "  plan cache: 1 hit(s), 1 miss(es)";
       "  join order=item:full  (x2)";
-      "  join order=cpsrc:lateral  (x1)";
+      "  join order=cpsrc:full  (x1)";
       "  join order=cp:full,item:hash(id)  (x1)";
       "  join order=item:index  (x1)";
       "  scan indexed table=item window=(2010-02-01,2010-02-02) probes=2 elided=2  (x1)";
       "  index build table=item cols=(2,3) rows=2 residuals=0  (x1)";
-      "  scans: 1 indexed, 3 full, 1 hash, 0 residual fallback(s)";
+      "  scans: 1 indexed, 4 full, 1 hash, 0 residual fallback(s)";
       "  rows: 9 probed, 9 matched; 3 conjunct check(s) elided";
       "  selects: 4 compiled, 1 interpreted";
       "-- cost model vs actuals --";
@@ -241,13 +241,13 @@ let golden_max =
       "  routine.calls                        1";
       "  rows.matched                         9";
       "  rows.probed                          9";
-      "  scan.full                            3";
+      "  scan.full                            4";
+      "  scan.full:cpsrc                      1";
       "  scan.full:item                       2";
       "  scan.full:taupsm_cp                  1";
       "  scan.hash                            1";
       "  scan.indexed                         1";
       "  scan.indexed:item                    1";
-      "  scan.lateral                         1";
       "distributions:";
       "  routine.seconds                      n=1";
       "  stratum.transform_seconds            n=1";
@@ -326,17 +326,17 @@ let golden_perst =
       "        DATE '2010-03-01')";
       "-- plan --";
       "  plan cache: 1 hit(s), 1 miss(es)";
-      "  join order=item:hash(id),taupsm_f_main_1:lateral  (x1)";
       "  join order=item:full  (x2)";
-      "  join order=taupsm_cps_item_count_2:lateral  (x1)";
+      "  join order=taupsm_cps_item_count_2:full  (x1)";
       "  join order=item:index  (x1)";
       "  join order=taupsm_v_item_count_n:full  (x2)";
       "  join order=taupsm_set_item_count_3:full  (x1)";
       "  join order=taupsm_w_item_count_4:full  (x1)";
       "  join order=taupsm_ret_item_count:full  (x1)";
+      "  join order=item:hash(id),taupsm_f_main_1:full  (x1)";
       "  scan indexed table=item window=(2010-02-01,2010-02-02) probes=2 elided=2  (x1)";
       "  index build table=item cols=(2,3) rows=2 residuals=0  (x1)";
-      "  scans: 1 indexed, 7 full, 1 hash, 0 residual fallback(s)";
+      "  scans: 1 indexed, 9 full, 1 hash, 0 residual fallback(s)";
       "  rows: 12 probed, 12 matched; 3 conjunct check(s) elided";
       "  selects: 8 compiled, 2 interpreted";
       "-- cost model vs actuals --";
@@ -357,15 +357,16 @@ let golden_perst =
       "  routine.calls                        1";
       "  rows.matched                         12";
       "  rows.probed                          12";
-      "  scan.full                            7";
+      "  scan.full                            9";
       "  scan.full:item                       2";
+      "  scan.full:taupsm_cps_item_count_2    1";
+      "  scan.full:taupsm_f_main_1            1";
       "  scan.full:taupsm_ret_item_count      1";
       "  scan.full:taupsm_set_item_count_3    1";
       "  scan.full:taupsm_v_item_count_n      3";
       "  scan.hash                            1";
       "  scan.indexed                         1";
       "  scan.indexed:item                    1";
-      "  scan.lateral                         2";
       "distributions:";
       "  routine.seconds                      n=1";
       "  stratum.transform_seconds            n=1";
