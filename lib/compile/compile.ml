@@ -105,25 +105,26 @@ type entry = {
   mutable e_hash : (Value.t, Value.t array list) Hashtbl.t option;
 }
 
-(* Per-statement state, hung off the environment's extension slot: a
-   mutex-free local mirror of the plan store plus the row/hash caches.
-   The slot is a ref cell shared with routine child environments, so
-   the many SELECT evaluations inside one top-level statement — the
-   stratum's generated PSM loops — all hit the same warm caches. *)
+(* Per-statement state, hung off the environment's extension slot: the
+   row/hash caches.  The slot is a ref cell shared with routine child
+   environments, so the many SELECT evaluations inside one top-level
+   statement — the stratum's generated PSM loops — all hit the same warm
+   caches.  A node's plan is kept in the evaluator's per-statement slot
+   for the node ([Eval.memo_slot]'s [ms_plan]), a mutex-free mirror of
+   the plan store. *)
 type estate = {
-  es_plans : (select, (int * int * int) * cplan option) Hashtbl.t;
   es_caches : (int, entry option array) Hashtbl.t;  (* plan id -> sources *)
 }
 
-type Catalog.ext += Estate of estate
+type Catalog.ext +=
+  | Estate of estate
+  | Plan of (int * int * int) * cplan option
 
 let estate_of (env : Eval.env) : estate =
   match !(env.Eval.ext_state) with
   | Some (Estate es) -> es
   | _ ->
-      let es =
-        { es_plans = Hashtbl.create 16; es_caches = Hashtbl.create 16 }
-      in
+      let es = { es_caches = Hashtbl.create 16 } in
       env.Eval.ext_state := Some (Estate es);
       es
 
@@ -487,18 +488,18 @@ let stored_plan (cat : Catalog.t) tok (s : select) : cplan option =
       Mutex.unlock st.mu;
       p
 
-let lookup_plan (env : Eval.env) (s : select) : cplan option =
+let lookup_plan (env : Eval.env) (slot : Eval.memo_slot) (s : select) :
+    cplan option =
   let tok = Catalog.plan_token env.Eval.cat in
-  let es = estate_of env in
-  match Hashtbl.find_opt es.es_plans s with
-  | Some (t, p) when t = tok -> p
+  match slot.Eval.ms_plan with
+  | Some (Plan (t, p)) when t = tok -> p
   | _ ->
       let p = stored_plan env.Eval.cat tok s in
-      Hashtbl.replace es.es_plans s (tok, p);
+      slot.Eval.ms_plan <- Some (Plan (tok, p));
       p
 
-let select_hook (env : Eval.env) (s : select) : Result_set.t option =
-  match lookup_plan env s with
+let select_hook (env : Eval.env) slot (s : select) : Result_set.t option =
+  match lookup_plan env slot s with
   | None -> None
   | Some p -> Some (run_plan (estate_of env) p env)
 

@@ -45,6 +45,10 @@ type acc = {
   mutable a_routines : SS.t;
   mutable a_cursor_temporal : bool;
   mutable a_inner_modifier : bool;
+  mutable a_views : string list;
+      (* the views being walked, innermost first: one met again inside
+         its own body is a cycle, an SQL error rather than a walk without
+         end (CREATE VIEW rejects cycles; recovered DDL is not checked) *)
   (* routine -> tables it reaches (memo across the traversal) *)
   visited : (string, unit) Hashtbl.t;
 }
@@ -61,7 +65,14 @@ and walk_select cat acc (s : select) =
   let rec walk_from = function
     | Tref (name, _) -> (
         match Catalog.find_view cat name with
-        | Some vq -> walk_query cat acc vq
+        | Some vq ->
+            let v = String.lowercase_ascii name in
+            if List.mem v acc.a_views then
+              Sqleval.Eval.sql_error "view %s is defined in terms of itself" v;
+            let saved = acc.a_views in
+            acc.a_views <- v :: saved;
+            walk_query cat acc vq;
+            acc.a_views <- saved
         | None -> acc.a_tables <- SS.add (String.lowercase_ascii name) acc.a_tables)
     | Tsub (q, _) -> walk_query cat acc q
     | Tfun (fname, args, _) ->
@@ -97,7 +108,12 @@ and walk_routine cat acc name =
       match Catalog.find_routine cat name with
       | Some (_, r) ->
           acc.a_routines <- SS.add key acc.a_routines;
-          List.iter (walk_stmt cat acc) r.r_body
+          (* a view read again through a call is recursion, bounded at
+             run time by the depth guard; the body starts afresh *)
+          let saved = acc.a_views in
+          acc.a_views <- [];
+          List.iter (walk_stmt cat acc) r.r_body;
+          acc.a_views <- saved
       | None -> ()
     end
 
@@ -178,6 +194,7 @@ and sub_analysis cat q : SS.t =
       a_routines = SS.empty;
       a_cursor_temporal = false;
       a_inner_modifier = false;
+      a_views = [];
       visited = Hashtbl.create 8;
     }
   in
@@ -198,6 +215,7 @@ let finish cat acc =
                 a_routines = SS.empty;
                 a_cursor_temporal = false;
                 a_inner_modifier = false;
+                a_views = [];
                 visited = Hashtbl.create 8;
               }
             in
@@ -222,6 +240,7 @@ let of_stmt cat (s : stmt) : t =
       a_routines = SS.empty;
       a_cursor_temporal = false;
       a_inner_modifier = false;
+      a_views = [];
       visited = Hashtbl.create 8;
     }
   in

@@ -34,6 +34,7 @@ type metrics = {
   constant_periods : int;
   selects_compiled : int;
   selects_interpreted : int;
+  select_memo_hits : int;
 }
 
 let metrics_of tr =
@@ -55,6 +56,7 @@ let metrics_of tr =
     constant_periods = c "constant_periods.periods";
     selects_compiled = c "compile.compiled";
     selects_interpreted = c "compile.interpreted";
+    select_memo_hits = c Counter.select_memo_hit;
   }
 
 let plan_cache_hit_rate m =
@@ -290,8 +292,8 @@ let report_to_string ?(show_timings = true) (rp : report) : string =
     m.scans_indexed m.scans_full m.scans_hash m.residual_fallbacks;
   add "  rows: %d probed, %d matched; %d conjunct check(s) elided"
     m.rows_probed m.rows_matched m.conjuncts_elided;
-  add "  selects: %d compiled, %d interpreted" m.selects_compiled
-    m.selects_interpreted;
+  add "  selects: %d compiled, %d interpreted, %d memo hit(s)"
+    m.selects_compiled m.selects_interpreted m.select_memo_hits;
   add "-- cost model vs actuals --";
   (match rp.rp_estimate with
   | Some est ->

@@ -38,6 +38,9 @@ type metrics = {
   selects_interpreted : int;
       (** SELECT evaluations that fell back to the interpreter (with
           compilation on; 0 when [options.compile] is off) *)
+  select_memo_hits : int;
+      (** SELECT evaluations the per-statement SELECT memo answered from
+          an earlier run with the same binding, running neither *)
 }
 
 val metrics_of : Trace.t -> metrics

@@ -60,10 +60,12 @@ let charge_rows g n =
   match g.row_budget with
   | None -> ()
   | Some b ->
-      g.rows_used <- g.rows_used + n;
-      if g.rows_used > b then
+      if g.rows_used + n > b then begin
+        g.rows_used <- max g.rows_used (b + 1);
         exhausted Taupsm_error.Row_budget "row budget exceeded: %d > %d"
           g.rows_used b
+      end
+      else g.rows_used <- g.rows_used + n
 
 let check_loop g iters =
   (match g.loop_cap with

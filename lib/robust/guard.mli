@@ -48,7 +48,9 @@ val check_deadline : t -> unit
     entries where a stuck execution is most likely to live. *)
 
 val charge_rows : t -> int -> unit
-(** Charge [n] rows against the budget; raises when exceeded. *)
+(** Charge [n] rows against the budget, as [n] charges of one row: when
+    that exceeds the budget [b], [rows_used] stops at [b + 1] and the
+    call raises. *)
 
 val check_loop : t -> int -> unit
 (** [check_loop g iters] with the current iteration count of one loop. *)

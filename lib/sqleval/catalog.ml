@@ -79,6 +79,16 @@ and t = {
       (* memoized constant-period point sets, token-guarded by
          (generation, database version); always fresh in copies and
          views — it re-warms from the data in one scan *)
+  memo_inputs :
+    ( Sqlast.Ast.select,
+      (int * int * int) * (string array * Sqlast.Ast.expr array) option )
+    Hashtbl.t;
+      (* the evaluator's SELECT-memo verdicts (see
+         [Select_plan.memo_inputs]), each stamped with the generation,
+         database version and temp-table epoch it holds under, so a
+         SELECT repeated inside every statement is analysed once, not
+         once per statement.  Fresh in copies and views: a view's own
+         temp-table churn moves its counters apart from the parent's *)
 }
 
 (* Evaluator switches, exposed for ablation experiments. *)
@@ -160,6 +170,7 @@ let create () =
     compile_ext = None;
     calibration = Calibration.create ();
     cp_memo = Cp_memo.create ();
+    memo_inputs = Hashtbl.create 16;
   }
 
 (* The catalog's trace sink with its enabled flag synced to
@@ -379,6 +390,7 @@ let copy cat =
     compile_ext = None;
     calibration = Calibration.copy_into cat.calibration;
     cp_memo = Cp_memo.create ();
+    memo_inputs = Hashtbl.create 16;
   }
 
 (* A read-only snapshot view for serving sessions:
@@ -413,6 +425,7 @@ let read_view cat =
     compile_ext = cat.compile_ext;
     calibration = cat.calibration;
     cp_memo = Cp_memo.create ();
+    memo_inputs = Hashtbl.create 16;
   }
 
 (* Publish an immutable snapshot of this catalog for concurrent readers:
@@ -439,4 +452,5 @@ let publish cat =
     compile_ext = cat.compile_ext;
     calibration = cat.calibration;
     cp_memo = Cp_memo.create ();
+    memo_inputs = Hashtbl.create 16;
   }

@@ -48,6 +48,48 @@ type scope = {
    a source-to-source one. *)
 type tt_mode = Select_plan.tt_mode
 
+(* The per-statement state of one SELECT node, found by physical
+   identity and started over when the catalog generation, database
+   version or temp-table epoch it records moves.  It holds the compiled
+   plan the compile hook cached for the node ([ms_plan]), the SELECT
+   memo's verdict ({!Select_plan.memo_inputs}, taken at the node's
+   second evaluation: a node run once has nothing to replay, and most
+   run once) and the node's last run: the tables it read, by physical
+   identity and mutation version, the reading mode and
+   outward-reference values it ran under, the rows it charged to the
+   row budget, and its result.  A node that keeps missing backs off:
+   from its second consecutive miss it runs the next 1, 2, 4, ... (at
+   most 64) evaluations without the memo before it probes again, so a
+   binding that changes at every evaluation costs a few probes per
+   statement rather than one per evaluation; a hit ends the back-off. *)
+type memo_run = {
+  mr_tables : Table.t array;
+  mr_versions : int array;
+  mr_tt : tt_mode;
+  mr_key : Value.t array;
+  mr_rows : int;
+  mr_result : Result_set.t;
+}
+
+type memo_slot = {
+  ms_generation : int;
+  ms_version : int;
+  ms_epoch : int;
+  mutable ms_inputs :
+    [ `Once | `Pure of string array * expr array | `Impure ];
+  mutable ms_last : memo_run option;
+  mutable ms_misses : int;  (* consecutive misses *)
+  mutable ms_skip : int;  (* evaluations left to run without the memo *)
+  mutable ms_plan : Catalog.ext option;
+}
+
+module Select_memo = Hashtbl.Make (struct
+  type t = select
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 type env = {
   cat : Catalog.t;
   now : Date.t;
@@ -62,6 +104,12 @@ type env = {
      generation, so later invocations cannot be served rows computed
      under the old definition. *)
   tf_cache : (int * string * Value.t list, Result_set.t) Hashtbl.t;
+  select_memo : memo_slot Select_memo.t;
+      (* per-statement SELECT state (see {!memo_slot}); shared, like
+         [tf_cache], by routine child environments *)
+  mutable expanding : string list;
+      (* the views whose queries are being evaluated, innermost first: a
+         view met again inside its own expansion is a cycle *)
   mutable calls : int;  (* statistics: routine invocations *)
   guard : Guard.t;  (* the catalog's resource guard, bound once *)
   ext_state : Catalog.ext option ref;
@@ -88,15 +136,19 @@ let create_env ?(now = Date.of_ymd ~y:2011 ~m:1 ~d:1) ?(tt_mode = `Current) cat
     scopes = [];
     depth = ref 0;
     tf_cache = Hashtbl.create 64;
+    select_memo = Select_memo.create 16;
+    expanding = [];
     calls = 0;
     guard = cat.Catalog.options.Catalog.guards;
     ext_state = ref None;
   }
 
 (* A child environment for a routine body: fresh frames and scopes so the
-   routine cannot see the caller's columns or variables. *)
+   routine cannot see the caller's columns or variables.  A view read
+   again through a routine call is recursion, which the depth guard
+   bounds, so the routine starts with no views being expanded. *)
 let routine_env env =
-  { env with frames = []; scopes = [ new_scope () ] }
+  { env with frames = []; scopes = [ new_scope () ]; expanding = [] }
 
 let find_var env name =
   let name = String.lowercase_ascii name in
@@ -351,10 +403,91 @@ type exec_result = Rows of Result_set.t | Affected of int | Unit
    installation.  When [options.compile] is on, {!eval_select} consults
    the hook first: [Some rs] means a compiled closure covered the whole
    SELECT — bit-identical to the interpreter by construction — and
-   [None] falls through to the interpreter.  The compiled/interpreted
+   [None] falls through to the interpreter.  The hook may keep its plan
+   for the node in the slot's [ms_plan].  The compiled/interpreted
    counters make coverage visible per query in EXPLAIN. *)
-let select_compiler : (env -> select -> Result_set.t option) ref =
-  ref (fun _ _ -> None)
+let select_compiler : (env -> memo_slot -> select -> Result_set.t option) ref
+    =
+  ref (fun _ _ _ -> None)
+
+(* {!Select_plan.memo_inputs} of [s], through the catalog's verdicts
+   (reset once they number 4096). *)
+let memo_inputs (cat : Catalog.t) stamp s =
+  let verdicts = cat.Catalog.memo_inputs in
+  match Hashtbl.find_opt verdicts s with
+  | Some (st, v) when st = stamp -> v
+  | _ ->
+      let v = Select_plan.memo_inputs cat s in
+      if Hashtbl.length verdicts >= 4096 then Hashtbl.reset verdicts;
+      Hashtbl.replace verdicts s (stamp, v);
+      v
+
+(* The memo slot of [s] in this statement, started over when a view or
+   routine definition or the visible schema changed since it was made. *)
+let memo_slot env s =
+  let cat = env.cat in
+  let db = cat.Catalog.db in
+  match Select_memo.find_opt env.select_memo s with
+  | Some m
+    when m.ms_generation = cat.Catalog.generation
+         && m.ms_version = Database.version db
+         && m.ms_epoch = Database.temp_epoch db ->
+      (match m.ms_inputs with
+      | `Once ->
+          m.ms_inputs <-
+            (match
+               memo_inputs cat (m.ms_generation, m.ms_version, m.ms_epoch) s
+             with
+            | Some (tables, refs) -> `Pure (tables, refs)
+            | None -> `Impure)
+      | `Pure _ | `Impure -> ());
+      m
+  | _ ->
+      let m =
+        {
+          ms_generation = cat.Catalog.generation;
+          ms_version = Database.version db;
+          ms_epoch = Database.temp_epoch db;
+          ms_inputs = `Once;
+          ms_last = None;
+          ms_misses = 0;
+          ms_skip = 0;
+          ms_plan = None;
+        }
+      in
+      Select_memo.replace env.select_memo s m;
+      m
+
+(* Outward-reference values that no SELECT can tell apart: structurally
+   equal, so [Int 1] and [Float 1.0] differ, and floats bit for bit, so
+   [0.0] and [-0.0] differ too. *)
+let same_key (a : Value.t array) b =
+  let n = Array.length a in
+  let rec go i =
+    i >= n
+    ||
+    match (a.(i), b.(i)) with
+    | Value.Float x, Value.Float y ->
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+        && go (i + 1)
+    | x, y -> x = y && go (i + 1)
+  in
+  go 0
+
+(* Do [names] still resolve to the tables [m] read: the same physical
+   table at the same mutation version, name by name? *)
+let same_tables db names m =
+  let n = Array.length names in
+  let rec go i =
+    i >= n
+    ||
+    match Database.find_table db names.(i) with
+    | Some t ->
+        t == m.mr_tables.(i) && t.Table.version = m.mr_versions.(i)
+        && go (i + 1)
+    | None -> false
+  in
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
@@ -623,15 +756,15 @@ and resolve_item env (it : Select_plan.item) ~correlated :
     * [ `Rows of Value.t array list
       | `Scan of Table.t
       | `Lateral of expr list * string
-      | `Lateral_sub of query ]
+      | `Lateral_sub of query * string option ]
     =
-  let derived q =
+  let derived ?view q =
     if correlated then
       match Select_plan.query_columns env.cat q with
-      | Some cols -> (cols, `Lateral_sub q)
+      | Some cols -> (cols, `Lateral_sub (q, view))
       | None -> sql_error "cannot infer the columns of a lateral derived table"
     else
-      let rs = eval_query env q in
+      let rs = expand_view env view (fun () -> eval_query env q) in
       ( Array.of_list (List.map String.lowercase_ascii rs.Result_set.cols),
         `Rows rs.Result_set.rows )
   in
@@ -641,7 +774,7 @@ and resolve_item env (it : Select_plan.item) ~correlated :
       | Some t -> (Select_plan.columns (Table.schema t), `Scan t)
       | None -> (
           match Catalog.find_view env.cat name with
-          | Some q -> derived q
+          | Some q -> derived ~view:(String.lowercase_ascii name) q
           | None -> sql_error "unknown table or view %s" name))
   | Select_plan.From_query (q, _) -> derived q
   | Select_plan.From_fun (fname, args, _) ->
@@ -652,6 +785,19 @@ and resolve_item env (it : Select_plan.item) ~correlated :
       in
       if correlated then (cols, `Lateral (args, fname))
       else (cols, `Rows (table_function_rows env fname args))
+
+(* Evaluate [f], the query of [view] (if a view), with the view marked
+   as being expanded. *)
+and expand_view : 'a. env -> string option -> (unit -> 'a) -> 'a =
+ fun env view f ->
+  match view with
+  | None -> f ()
+  | Some v ->
+      if List.mem v env.expanding then
+        sql_error "view %s is defined in terms of itself" v;
+      let saved = env.expanding in
+      env.expanding <- v :: saved;
+      Fun.protect ~finally:(fun () -> env.expanding <- saved) f
 
 (* A table function's rows for [args] evaluated in the current frames;
    a NULL argument yields no rows. *)
@@ -686,10 +832,70 @@ and invoke_table_function env fname argv : Result_set.t =
           Hashtbl.add env.tf_cache key rs;
           rs)
 
+(* A SELECT whose verdict qualifies (see {!memo_slot}) replays its last
+   run when that run read the same tables at the same versions, under
+   the same reading mode and outward-reference values: the result is a
+   function of nothing else.  The replay charges the run's rows to the
+   row budget again.  A reference that does not resolve leaves the
+   evaluation to the run, which raises or never reads it. *)
 and eval_select env (s : select) : Result_set.t =
+  let slot = memo_slot env s in
+  match slot.ms_inputs with
+  | `Once | `Impure -> run_select_node env slot s
+  | `Pure _ when slot.ms_skip > 0 ->
+      slot.ms_skip <- slot.ms_skip - 1;
+      run_select_node env slot s
+  | `Pure (names, refs) -> (
+      let key () =
+        match Array.map (eval_expr env) refs with
+        | k -> Some k
+        | exception Sql_error _ -> None
+      in
+      match slot.ms_last with
+      | Some m
+        when m.mr_tt = env.tt_mode && same_tables env.cat.Catalog.db names m
+        -> (
+          match key () with
+          | Some k when same_key k m.mr_key ->
+              slot.ms_misses <- 0;
+              Trace.count env.cat.Catalog.obs Select_plan.Counter.select_memo_hit
+                1;
+              Guard.charge_rows env.guard m.mr_rows;
+              m.mr_result
+          | k -> memo_run env slot s names (fun () -> k))
+      | _ -> memo_run env slot s names key)
+
+(* Run [s] and keep the run in its slot, keyed by [key ()] taken after
+   it (a pure run moves no outward reference).  Every name resolves: the
+   slot's stamp still holds, and the verdict found each a table under
+   it. *)
+and memo_run env slot s names key =
+  slot.ms_misses <- slot.ms_misses + 1;
+  if slot.ms_misses >= 2 then
+    slot.ms_skip <- 1 lsl min 6 (slot.ms_misses - 2);
+  let tables = Array.map (Database.find_table_exn env.cat.Catalog.db) names in
+  let versions = Array.map (fun t -> t.Table.version) tables in
+  let used = env.guard.Guard.rows_used in
+  let rs = run_select_node env slot s in
+  (match key () with
+  | Some k ->
+      slot.ms_last <-
+        Some
+          {
+            mr_tables = tables;
+            mr_versions = versions;
+            mr_tt = env.tt_mode;
+            mr_key = k;
+            mr_rows = env.guard.Guard.rows_used - used;
+            mr_result = rs;
+          }
+  | None -> ());
+  rs
+
+and run_select_node env slot (s : select) : Result_set.t =
   if not env.cat.Catalog.options.Catalog.compile then eval_select_interp env s
   else
-    match !select_compiler env s with
+    match !select_compiler env slot s with
     | Some rs ->
         Trace.count env.cat.Catalog.obs "compile.compiled" 1;
         rs
@@ -750,7 +956,9 @@ and eval_select_interp env (s : select) : Result_set.t =
             rows)
     | `Lateral (args, fname) ->
         lateral i (fun () -> table_function_rows env fname args)
-    | `Lateral_sub q -> lateral i (fun () -> (eval_query env q).Result_set.rows)
+    | `Lateral_sub (q, view) ->
+        lateral i (fun () ->
+            expand_view env view (fun () -> (eval_query env q).Result_set.rows))
   in
   let hash i ci =
     match hashed.(i) with
@@ -1094,6 +1302,8 @@ and exec_stmt env (s : stmt) : exec_result =
       Database.drop_table env.cat.Catalog.db name;
       Unit
   | Screate_view (name, q) ->
+      if Select_plan.reaches_view env.cat name q then
+        sql_error "view %s is defined in terms of itself" name;
       Catalog.add_view env.cat name q;
       Unit
   | Screate_function r ->

@@ -202,6 +202,40 @@ and query_cols cat seen = function
 
 let query_columns cat q = query_cols cat [] q
 
+(* Every expression of a SELECT outside its FROM items, in evaluation
+   order: the LEFT JOIN and inner-join ONs, projection, WHERE, GROUP BY,
+   HAVING, ORDER BY, OFFSET and FETCH FIRST. *)
+let select_exprs (s : select) =
+  let opt = Option.to_list in
+  List.fold_left ons [] s.from
+  @ List.filter_map (function Proj_expr (e, _) -> Some e | _ -> None) s.proj
+  @ opt s.where @ s.group_by @ opt s.having @ List.map fst s.order_by
+  @ opt s.offset @ opt s.fetch_first
+
+(* Whether [q] names the view [target] in some FROM, directly or
+   through other views, at any depth.  A name counts as a view's even
+   where a table of that name shadows it in evaluation: the stratum
+   expands views before it looks for tables. *)
+let reaches_view (cat : Catalog.t) target q =
+  let target = lc target in
+  let rec query seen q = List.exists (select seen) (query_selects q)
+  and select seen s =
+    List.exists (item seen) (from_items s.from)
+    || List.exists (expr seen) (select_exprs s)
+  and expr seen e = fold_expr_queries (fun acc q -> acc || query seen q) false e
+  and item seen = function
+    | From_name (name, _) -> (
+        let name = lc name in
+        name = target
+        ||
+        match Catalog.find_view cat name with
+        | Some q when not (List.mem name seen) -> query (name :: seen) q
+        | _ -> false)
+    | From_query (q, _) -> query seen q
+    | From_fun (_, args, _) -> List.exists (expr seen) args
+  in
+  query [] q
+
 (* A column reference that leaves the scopes of the expression or query
    holding it: its qualifier and name (lowercase), and whether an inner
    scope had statically unknown columns, so that an unqualified name may
@@ -251,20 +285,8 @@ let outward_refs (cat : Catalog.t) (it : item) : outward list =
       List.map (fun it -> (item_alias it, item_cols cat seen it)) items
       :: scopes
     in
-    let ex = expr seen scopes in
-    let opt acc = Option.fold ~none:acc ~some:(ex acc) in
     let acc = List.fold_left (item seen scopes) acc items in
-    let acc = List.fold_left ex acc (List.fold_left ons [] s.from) in
-    let acc =
-      List.fold_left
-        (fun acc -> function Proj_expr (e, _) -> ex acc e | _ -> acc)
-        acc s.proj
-    in
-    let acc = List.fold_left ex (opt acc s.where) s.group_by in
-    let acc =
-      List.fold_left (fun acc (e, _) -> ex acc e) (opt acc s.having) s.order_by
-    in
-    opt (opt acc s.offset) s.fetch_first
+    List.fold_left (expr seen scopes) acc (select_exprs s)
   and item seen scopes acc = function
     | From_name (name, _) -> (
         match view_of cat seen name with
@@ -329,6 +351,44 @@ let has_fun_call e =
   fold_expr_funcalls
     (fun acc name _ -> acc || not (Builtins.is_builtin name))
     false e
+
+(* What a SELECT's result is a function of, when nothing else can move
+   it: the base tables it reads at every depth (lowercase, each once)
+   and its outward references, as column expressions.  [None] when some
+   FROM item is a view, derived table or table function, some call is a
+   stored routine, an outward reference might resolve inside after all,
+   or no table is read at all (a FROM-less SELECT is as cheap to run as
+   to look up). *)
+let memo_inputs (cat : Catalog.t) (s : select) =
+  let exception Impure in
+  let tables = ref [] in
+  let rec query q = List.iter select (query_selects q)
+  and select s =
+    List.iter
+      (function
+        | From_name (name, _)
+          when Sqldb.Database.find_table cat.Catalog.db name <> None ->
+            if not (List.mem (lc name) !tables) then
+              tables := lc name :: !tables
+        | _ -> raise Impure)
+      (from_items s.from);
+    List.iter expr (select_exprs s)
+  and expr e =
+    if has_fun_call e then raise Impure;
+    fold_expr_queries (fun () q -> query q) () e
+  in
+  match select s with
+  | exception Impure -> None
+  | () when !tables = [] -> None
+  | () ->
+      let refs = outward_refs cat (From_query (Select s, "")) in
+      if List.exists (fun r -> r.o_maybe_inner) refs then None
+      else
+        Some
+          ( Array.of_list (List.rev !tables),
+            Array.of_list
+              (List.sort_uniq compare
+                 (List.map (fun r -> Col (r.o_qual, r.o_col)) refs)) )
 
 let plan (cat : Catalog.t) (s : select) (join_conjuncts : expr list)
     (sources : source list) : expr t =
@@ -656,6 +716,7 @@ module Counter = struct
   let rows_probed = "rows.probed"
   let rows_matched = "rows.matched"
   let conjuncts_elided = "conjuncts.elided"
+  let select_memo_hit = "select.memo_hit"
 end
 
 let run obs (p : 'e t) (binds : binding array) ~(value : 'e -> Value.t)

@@ -116,6 +116,13 @@ val query_columns : Catalog.t -> Sqlast.Ast.query -> string array option
     names them; [None] where they rest on an unknown table or function,
     an unknown [q.*] or a view defined over itself. *)
 
+val reaches_view : Catalog.t -> string -> Sqlast.Ast.query -> bool
+(** [reaches_view cat v q]: [q] names the view [v] in some FROM,
+    directly or through other views, at any depth (subqueries, derived
+    tables and table-function arguments included; routine bodies not).
+    A name counts as a view's even where a table of that name shadows it
+    in evaluation, since the stratum expands views first. *)
+
 val correlated : Catalog.t -> item array -> bool array
 (** Which FROM items of one SELECT read a sibling's row, decided
     statically with the evaluator's name resolution.  An item is
@@ -132,6 +139,17 @@ val correlated : Catalog.t -> item array -> bool array
     enclosing queries — leave the item closed.
     @raise Sql_error when an item refers to itself or to a later item
     (a FROM item sees only those before it, as under SQL's LATERAL). *)
+
+val memo_inputs :
+  Catalog.t -> Sqlast.Ast.select -> (string array * Sqlast.Ast.expr array) option
+(** What a SELECT's result is a function of, beside the transaction-time
+    mode: the base tables it reads at every depth (lowercase, each once)
+    and its outward references, as [Col] expressions to evaluate in the
+    enclosing scope.  [None] unless every FROM item at every depth names
+    a base table, every call is a builtin, every outward reference is
+    known statically to leave the SELECT, and at least one table is
+    read.  The verdict holds while the catalog generation, the database
+    version and its temp-table epoch stay put. *)
 
 (** {1 Planning} *)
 
@@ -207,6 +225,10 @@ module Counter : sig
 
   val conjuncts_elided : string
   (** conjuncts an index or hash probe enforced exactly *)
+
+  val select_memo_hit : string
+  (** SELECT evaluations the evaluator's per-statement memo answered
+      without running them (written by {!Eval.eval_select}, not {!run}) *)
 end
 
 val run :

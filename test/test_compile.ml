@@ -122,15 +122,18 @@ let random_engine seed =
    side is otherwise a hash probe), an exact period window (indexed,
    both comparisons elided), and FROM items the compiler leaves to the
    interpreter: a closed table function, one correlated on the item
-   before it, a closed and a correlated derived table, and a view.
-   Returns the query and the [hash_joins] setting to run it under. *)
+   before it, a closed and a correlated derived table, and a view.  Two
+   more draw a correlated scalar subquery and an EXISTS evaluated at
+   every (t, lab) pair but reading only t's row, so their outer values
+   repeat and the SELECT memo replays them.  Returns the query and the
+   [hash_joins] setting to run it under. *)
 let random_db_query seed =
   let st = Random.State.make [| 0x5ba9e; seed |] in
   let day () =
     Date.to_string
       (Date.add_days (Date.of_ymd ~y:2010 ~m:1 ~d:1) (Random.State.int st 300))
   in
-  match Random.State.int st 9 with
+  match Random.State.int st 11 with
   | 0 ->
       ( "VALIDTIME [DATE '2010-03-01', DATE '2010-06-01') SELECT t.k, \
          lab.name FROM t, lab WHERE t.g = lab.g AND (t.k < 50 OR t.k IS NULL)",
@@ -175,17 +178,32 @@ let random_db_query seed =
       ( "NONSEQUENCED VALIDTIME SELECT t.k, d.n FROM t, (SELECT COUNT(*) AS \
          n FROM lab WHERE lab.g > t.g) d",
         true )
-  | _ ->
+  | 8 ->
       ( "VALIDTIME [DATE '2010-03-01', DATE '2010-06-01') SELECT t.k, \
          v.name FROM t, named_lab v WHERE t.g = v.g",
         true )
+  | 9 ->
+      ( Printf.sprintf
+          "NONSEQUENCED VALIDTIME SELECT t.k, lab.name, (SELECT COUNT(*) FROM \
+           lab l2 WHERE l2.g <= t.g) AS c FROM t, lab WHERE lab.g < %d"
+          (1 + Random.State.int st 4),
+        true )
+  | _ ->
+      ( Printf.sprintf
+          "NONSEQUENCED VALIDTIME SELECT t.k, lab.name FROM t, lab WHERE \
+           lab.g < %d AND (EXISTS (SELECT 1 FROM lab l2 WHERE l2.g = t.g + 1) \
+           OR lab.name = 'none')"
+          (1 + Random.State.int st 4),
+        true )
 
-(* The counters of the planner's access paths: both evaluators run the
-   same join loop, so they must agree on every one. *)
+(* The counters of the planner's access paths and of the SELECT memo:
+   both evaluators run the same join loop behind the same memo, so they
+   must agree on every one. *)
 let access_counters =
   [
     "scan.indexed"; "scan.hash"; "scan.full"; "scan.residual_fallback";
     "scan.lateral"; "rows.probed"; "rows.matched"; "conjuncts.elided";
+    "select.memo_hit";
   ]
 
 let prop_random_db_equivalence seed =

@@ -246,6 +246,54 @@ let test_ambiguous_column () =
   | exception Eval.Sql_error _ -> ()
   | _ -> Alcotest.fail "ambiguous column should be rejected"
 
+(* A view that reaches itself is refused at CREATE VIEW, directly, through
+   another view or a subquery, and even where a table of its name exists
+   (the stratum expands views before tables).  A cycle that bypasses the
+   check — recovered DDL registers views without it — is an SQL error at
+   use, in the evaluator and in the stratum, not a recursion without
+   end. *)
+let test_view_cycles () =
+  let e = Engine.create () in
+  let sql_error what f affix =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected an SQL error" what
+    | exception Eval.Sql_error msg ->
+        if not (Astring.String.is_infix ~affix msg) then
+          Alcotest.failf "%s: expected %S in the error, got %S" what affix msg
+  in
+  let refused sql affix = sql_error sql (fun () -> Engine.exec e sql) affix in
+  ignore (Engine.exec e "CREATE TABLE f (v INTEGER)");
+  refused "CREATE VIEW vw AS SELECT * FROM vw"
+    "view vw is defined in terms of itself";
+  ignore (Engine.exec e "CREATE VIEW a AS SELECT * FROM b");
+  refused "CREATE VIEW b AS SELECT * FROM a"
+    "view b is defined in terms of itself";
+  refused "CREATE VIEW b AS SELECT v FROM f WHERE EXISTS (SELECT 1 FROM a)"
+    "view b is defined in terms of itself";
+  refused "CREATE VIEW f AS SELECT v + 1 AS v FROM f"
+    "view f is defined in terms of itself";
+  ignore (Engine.exec e "CREATE VIEW b AS SELECT v FROM f");
+  ignore (Engine.exec e "INSERT INTO f VALUES (7)");
+  check_rows "an acyclic chain of views" [ [ "7" ] ] (rows e "SELECT * FROM a");
+  let query sql =
+    match Sqlparse.Parser.parse_stmt_string sql with
+    | Sqlast.Ast.Squery q -> q
+    | _ -> assert false
+  in
+  let cat = Engine.catalog e in
+  Sqleval.Catalog.add_view cat "b" (query "SELECT * FROM a");
+  Sqleval.Catalog.add_view cat "vw" (query "SELECT * FROM vw");
+  List.iter
+    (fun (sql, affix) ->
+      sql_error (sql ^ " (evaluator)") (fun () -> Engine.query e sql) affix;
+      sql_error (sql ^ " (stratum)")
+        (fun () -> Taupsm.Stratum.query e sql)
+        affix)
+    [
+      ("SELECT * FROM a", "view a is defined in terms of itself");
+      ("SELECT * FROM vw", "view vw is defined in terms of itself");
+    ]
+
 let suite =
   [
     ( "eval",
@@ -268,5 +316,7 @@ let suite =
         Alcotest.test_case "current_date" `Quick test_current_date;
         Alcotest.test_case "runtime errors" `Quick test_errors;
         Alcotest.test_case "ambiguous column" `Quick test_ambiguous_column;
+        Alcotest.test_case "self-referencing views are SQL errors" `Quick
+          test_view_cycles;
       ] );
   ]
