@@ -1,6 +1,5 @@
 (* Plan compilation: run a SELECT through closures built once per
-   (statement, plan token) instead of walking its AST on every
-   evaluation.
+   statement instead of walking its AST on every evaluation.
 
    Planning and the join loop are not here: the compiler takes the
    shared plan from [Sqleval.Select_plan] — the same join order, conjunct
@@ -9,9 +8,15 @@
    hands the compiled plan to the same join loop the interpreter runs,
    so trace counters, events and guard charges match by construction.
    What this module adds is the expression compiler (column references
-   pre-resolved to array offsets, int/date comparison fast paths), the
-   plan store, and row/hash caches that survive across the many runs of
-   one statement while the scanned table is unchanged.
+   pre-resolved to array offsets, int/date comparison fast paths) and
+   row/hash caches that survive across the many runs of one statement
+   while the scanned table is unchanged.
+
+   A plan lives in the evaluator's per-statement slot for its SELECT
+   node ([Eval.memo_slot]), whose stamp — catalog generation, database
+   version, temp-table epoch — starts it over whenever the schema the
+   plan was compiled against may have moved.  Nothing outlives the
+   statement.
 
    Coverage is partial by design: a SELECT whose FROM holds something
    other than base-table references (views, derived tables, table
@@ -33,8 +38,8 @@ module Result_set = Sqleval.Result_set
 module Select_plan = Sqleval.Select_plan
 
 (* Raised during compilation when the SELECT uses a shape the compiler
-   does not cover; the (select, token) pair is then negatively cached so
-   the analysis is not repeated on every evaluation. *)
+   does not cover; the node's slot then keeps [None], so the analysis
+   is not repeated at every evaluation in the statement. *)
 exception Unsupported
 
 let lc = String.lowercase_ascii
@@ -52,52 +57,10 @@ type rt = { env : Eval.env; binds : Eval.binding array }
 
 type cexpr = rt -> Value.t
 
-type cplan = {
-  p_id : int;
-  p_select : select;  (* for the shared distinct/sort/group tail *)
-  p_names : string array;  (* table lookup names; resolved per run *)
-  p_plan : cexpr Select_plan.t;
-  p_proj : rt -> Value.t list;
-  p_keys : cexpr list;
-}
-
-(* ------------------------------------------------------------------ *)
-(* Caches                                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* The per-catalog compiled-plan store, hung off the catalog's extension
-   slot.  Shared by read views (worker snapshots), hence the mutex; held
-   only around table lookups, never during compilation or execution.
-   [None] entries cache "unsupported" verdicts. *)
-type store = {
-  mu : Mutex.t;
-  plans : (select, (int * int * int) * cplan option) Hashtbl.t;
-}
-
-type Catalog.ext += Plans of store
-
-let store_mu = Mutex.create ()
-
-let plans_of (cat : Catalog.t) : store =
-  match cat.Catalog.compile_ext with
-  | Some (Plans st) -> st
-  | _ ->
-      Mutex.lock store_mu;
-      let st =
-        match cat.Catalog.compile_ext with
-        | Some (Plans st) -> st
-        | _ ->
-            let st = { mu = Mutex.create (); plans = Hashtbl.create 32 } in
-            cat.Catalog.compile_ext <- Some (Plans st);
-            st
-      in
-      Mutex.unlock store_mu;
-      st
-
 (* Per-source row/hash caches, valid for one physical table at one
-   mutation version.  Physical identity distinguishes a re-created
-   temp table (same name, same schema, hence same plan token) from the
-   table the cache was built over. *)
+   mutation version.  Physical identity tells a temp table re-created
+   with the same schema — which moves no stamp — from the table the
+   cache was built over. *)
 type entry = {
   e_table : Table.t;
   e_version : int;
@@ -105,30 +68,16 @@ type entry = {
   mutable e_hash : (Value.t, Value.t array list) Hashtbl.t option;
 }
 
-(* Per-statement state, hung off the environment's extension slot: the
-   row/hash caches.  The slot is a ref cell shared with routine child
-   environments, so the many SELECT evaluations inside one top-level
-   statement — the stratum's generated PSM loops — all hit the same warm
-   caches.  A node's plan is kept in the evaluator's per-statement slot
-   for the node ([Eval.memo_slot]'s [ms_plan]), a mutex-free mirror of
-   the plan store. *)
-type estate = {
-  es_caches : (int, entry option array) Hashtbl.t;  (* plan id -> sources *)
+type cplan = {
+  p_select : select;  (* for the shared distinct/sort/group tail *)
+  p_names : string array;  (* table lookup names; resolved per run *)
+  p_plan : cexpr Select_plan.t;
+  p_proj : rt -> Value.t list;
+  p_keys : cexpr list;
+  p_entries : entry option array;  (* per source, across runs *)
 }
 
-type Catalog.ext +=
-  | Estate of estate
-  | Plan of (int * int * int) * cplan option
-
-let estate_of (env : Eval.env) : estate =
-  match !(env.Eval.ext_state) with
-  | Some (Estate es) -> es
-  | _ ->
-      let es = { es_caches = Hashtbl.create 16 } in
-      env.Eval.ext_state := Some (Estate es);
-      es
-
-let next_id = Atomic.make 0
+type Eval.compiled += Plan of cplan option
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -350,12 +299,12 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
       s.proj
   in
   {
-    p_id = Atomic.fetch_and_add next_id 1;
     p_select = s;
     p_names = Array.of_list names;
     p_plan = Select_plan.map comp plan;
     p_proj = (fun rt -> List.concat_map (fun f -> f rt) proj_items);
     p_keys = List.map (fun (e, _) -> comp e) s.order_by;
+    p_entries = Array.make (List.length names) None;
   }
 
 let compile_select cat s =
@@ -367,11 +316,12 @@ let compile_select cat s =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let run_plan (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
+let run_plan (p : cplan) (env : Eval.env) : Result_set.t =
   let cat = env.Eval.cat in
   (* Resolve source tables against the live database in source order; a
      vanished table raises the interpreter's own resolution error (in
-     practice a drop bumps the plan token first). *)
+     practice a drop moves the slot's stamp first, and the node is
+     compiled afresh). *)
   let tabs =
     Array.map
       (fun name ->
@@ -383,17 +333,9 @@ let run_plan (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
   let n = Array.length tabs in
   let binds = Select_plan.bindings p.p_plan in
   let rt = { env; binds } in
-  let slots =
-    match Hashtbl.find_opt es.es_caches p.p_id with
-    | Some a -> a
-    | None ->
-        let a = Array.make n None in
-        Hashtbl.replace es.es_caches p.p_id a;
-        a
-  in
   let entry_for i =
     let t = tabs.(i) in
-    match slots.(i) with
+    match p.p_entries.(i) with
     | Some e when e.e_table == t && e.e_version = t.Table.version -> e
     | _ ->
         let e =
@@ -404,7 +346,7 @@ let run_plan (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
             e_hash = None;
           }
         in
-        slots.(i) <- Some e;
+        p.p_entries.(i) <- Some e;
         e
   in
   (* The per-run memo matches the interpreter's per-evaluation laziness:
@@ -472,65 +414,20 @@ let run_plan (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
 (* The evaluator hook                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The catalog-wide store's plan for [s] under token [tok], compiling
-   on a miss. *)
-let stored_plan (cat : Catalog.t) tok (s : select) : cplan option =
-  let st = plans_of cat in
-  Mutex.lock st.mu;
-  let cached = Hashtbl.find_opt st.plans s in
-  Mutex.unlock st.mu;
-  match cached with
-  | Some (t, p) when t = tok -> p
-  | _ ->
-      let p = compile_select cat s in
-      Mutex.lock st.mu;
-      Hashtbl.replace st.plans s (tok, p);
-      Mutex.unlock st.mu;
-      p
-
+(* The node's plan for this statement, compiled at its first
+   evaluation. *)
 let lookup_plan (env : Eval.env) (slot : Eval.memo_slot) (s : select) :
     cplan option =
-  let tok = Catalog.plan_token env.Eval.cat in
   match slot.Eval.ms_plan with
-  | Some (Plan (t, p)) when t = tok -> p
+  | Some (Plan p) -> p
   | _ ->
-      let p = stored_plan env.Eval.cat tok s in
-      slot.Eval.ms_plan <- Some (Plan (tok, p));
+      let p = compile_select env.Eval.cat s in
+      slot.Eval.ms_plan <- Some (Plan p);
       p
 
 let select_hook (env : Eval.env) slot (s : select) : Result_set.t option =
   match lookup_plan env slot s with
   | None -> None
-  | Some p -> Some (run_plan (estate_of env) p env)
+  | Some p -> Some (run_plan p env)
 
 let install () = Eval.select_compiler := select_hook
-
-(* ------------------------------------------------------------------ *)
-(* Compiled constant-period primitive                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The sort-adjacent step of the stratum's constant-period table
-   function, over a flat int array instead of a sorted-unique list:
-   points outside (bt, et) are dropped, duplicates collapse, and
-   consecutive points form the ascending [a, b) period rows.  Produces
-   exactly the interpreted variant's rows. *)
-let adjacent_periods ~(bt : Date.t) ~(et : Date.t) (points : Date.t list) :
-    Value.t array list =
-  if bt >= et then []
-  else begin
-    let inside = List.filter (fun d -> d > bt && d < et) points in
-    let arr = Array.make (List.length inside + 2) bt in
-    arr.(1) <- et;
-    List.iteri (fun i d -> arr.(i + 2) <- d) inside;
-    Array.sort Date.compare arr;
-    let rows = ref [] in
-    let prev = ref arr.(0) in
-    for i = 1 to Array.length arr - 1 do
-      let d = arr.(i) in
-      if d <> !prev then begin
-        rows := [| Value.Date !prev; Value.Date d |] :: !rows;
-        prev := d
-      end
-    done;
-    List.rev !rows
-  end

@@ -64,7 +64,7 @@ let rec walk_query cat acc (q : query) =
 and walk_select cat acc (s : select) =
   let rec walk_from = function
     | Tref (name, _) -> (
-        match Catalog.find_view cat name with
+        match Catalog.from_view cat name with
         | Some vq ->
             let v = String.lowercase_ascii name in
             if List.mem v acc.a_views then

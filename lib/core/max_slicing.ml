@@ -206,7 +206,7 @@ let inner_mapper cat ~is_temporal_routine ~(at : expr) : Rewrite.mapper =
   in
   let table_ref m tr =
     match tr with
-    | Tref (name, _) when Catalog.find_view cat name <> None -> (
+    | Tref (name, _) when Catalog.from_view cat name <> None -> (
         match inline_view_ref cat tr ~transform_query:(m.Rewrite.query m) with
         | Some tr' -> tr'
         | None -> tr)

@@ -92,7 +92,7 @@ and select_is_temporal g (s : select) =
     | Tref (name, _) -> (
         is_temporal_source g name
         ||
-        match Catalog.find_view g.cat name with
+        match Catalog.from_view g.cat name with
         | Some vq -> query_is_temporal g vq
         | None -> false)
     | Tsub (q, _) -> query_is_temporal g q
@@ -413,7 +413,7 @@ and seq_simple_select g pc ?(extra_atoms = []) ~result_col (s : select) : select
               :: !atoms;
             tr
         | Tref (name, alias) -> (
-            match Catalog.find_view g.cat name with
+            match Catalog.from_view g.cat name with
             | Some vq when query_is_temporal g vq ->
                 let a = Option.value alias ~default:name in
                 (* One allocation: the atom's source must be physically
@@ -629,7 +629,7 @@ and slicing_sources g (e_or_s : [ `Expr of expr | `Select of select ]) :
       (function
         | Tref (name, _) when is_temporal_source g name -> add name
         | Tref (name, _) -> (
-            match Catalog.find_view g.cat name with
+            match Catalog.from_view g.cat name with
             | Some vq ->
                 let a = Analysis.of_query g.cat vq in
                 List.iter add (Analysis.temporal_tables_list a)

@@ -48,53 +48,35 @@ let constant_periods_native : Catalog.native_table_fun =
         match args with
         | [ Value.Str tname; bt; et ] ->
             let bt = Value.to_date_exn bt and et = Value.to_date_exn et in
-            if bt >= et then { RS.cols = [ Names.begin_col; Names.end_col ]; rows = [] }
-            else begin
-              let t = Database.find_table_exn cat.Catalog.db tname in
-              let points = ref [] in
-              Table.iter
-                (fun row ->
-                  match row.(0) with
-                  | Value.Date d -> points := d :: !points
-                  | Value.Null -> ()
-                  | v ->
-                      raise
-                        (Eval.Sql_error
-                           (Printf.sprintf
-                              "taupsm_constant_periods: non-date point %s"
-                              (Value.to_string v))))
-                t;
-              let rows =
-                if cat.Catalog.options.Catalog.compile then
-                  (* Array-sort fast path; identical rows to the
-                     list-based variant below. *)
-                  Compile.adjacent_periods ~bt ~et !points
-                else begin
-                  let inside =
-                    List.filter (fun d -> d > bt && d < et) !points
-                  in
-                  let pts =
-                    List.sort_uniq Date.compare (bt :: et :: inside)
-                  in
-                  let rec pairs = function
-                    | a :: (b :: _ as rest) ->
-                        [| Value.Date a; Value.Date b |] :: pairs rest
-                    | [ _ ] | [] -> []
-                  in
-                  pairs pts
-                end
-              in
-              List.iter (fun _ -> Fault.hit Fault.Period_slice) rows;
-              let obs = cat.Catalog.obs in
-              if Trace.enabled obs then begin
-                Trace.count obs "constant_periods.calls" 1;
-                Trace.count obs "constant_periods.periods" (List.length rows);
-                Trace.event obs "constant-periods"
-                  (Printf.sprintf "table=%s periods=%d" tname
-                     (List.length rows))
-              end;
-              { RS.cols = [ Names.begin_col; Names.end_col ]; rows }
-            end
+            let t = Database.find_table_exn cat.Catalog.db tname in
+            let points = ref [] in
+            Table.iter
+              (fun row ->
+                match row.(0) with
+                | Value.Date d -> points := d :: !points
+                | Value.Null -> ()
+                | v ->
+                    raise
+                      (Eval.Sql_error
+                         (Printf.sprintf
+                            "taupsm_constant_periods: non-date point %s"
+                            (Value.to_string v))))
+              t;
+            let rows =
+              List.map
+                (fun (a, b) -> [| Value.Date a; Value.Date b |])
+                (Period.constant_periods ~bt ~et !points)
+            in
+            List.iter (fun _ -> Fault.hit Fault.Period_slice) rows;
+            let obs = cat.Catalog.obs in
+            if Trace.enabled obs then begin
+              Trace.count obs "constant_periods.calls" 1;
+              Trace.count obs "constant_periods.periods" (List.length rows);
+              Trace.event obs "constant-periods"
+                (Printf.sprintf "table=%s periods=%d" tname
+                   (List.length rows))
+            end;
+            { RS.cols = [ Names.begin_col; Names.end_col ]; rows }
         | _ ->
             raise
               (Eval.Sql_error

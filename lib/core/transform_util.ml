@@ -137,7 +137,7 @@ let context_exprs = function
 let inline_view_ref cat (tr : table_ref) ~(transform_query : query -> query) =
   match tr with
   | Tref (name, alias) -> (
-      match Catalog.find_view cat name with
+      match Catalog.from_view cat name with
       | Some vq ->
           let a = Option.value alias ~default:name in
           Some (Tsub (transform_query vq, a))

@@ -7,7 +7,7 @@ type t = {
   mutable acc : string;
   chunk : Bytes.t;
   mutable session : int;  (* from the hello banner *)
-  mutable next_id : int;
+  mutable next_request : int;
 }
 
 exception Protocol_error of string
@@ -47,7 +47,9 @@ let connect ?(host = "127.0.0.1") ~port () =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  let c = { fd; acc = ""; chunk = Bytes.create 65536; session = 0; next_id = 1 } in
+  let c =
+    { fd; acc = ""; chunk = Bytes.create 65536; session = 0; next_request = 1 }
+  in
   (* the first line is either the hello banner or an admission
      rejection ({"error":{"code":"overloaded"}}) *)
   let banner = read_json c in
@@ -70,8 +72,8 @@ let session c = c.session
    response.  The protocol is strictly request/response per session, so
    matching is positional; the id is still checked when echoed. *)
 let roundtrip c (fields : (string * Json.t) list) =
-  let id = c.next_id in
-  c.next_id <- id + 1;
+  let id = c.next_request in
+  c.next_request <- id + 1;
   let line = Json.to_string (Json.Obj (("id", Json.Int id) :: fields)) ^ "\n" in
   write_all c.fd line 0 (String.length line);
   let resp = read_json c in

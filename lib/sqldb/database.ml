@@ -51,6 +51,13 @@ let set_observe db obs =
 let version db = db.version
 let temp_epoch db = db.temp_epoch
 
+(* Moves whenever a base table is created, dropped or mutated: [version]
+   fixes the set of base tables, and each one's mutation version only
+   grows (undo bumps it too), so their sum grows with every write.
+   Temporary tables do not move it. *)
+let base_stamp db =
+  (db.version, Hashtbl.fold (fun _ t acc -> acc + t.Table.version) db.tables 0)
+
 (* Point this database — and every table it holds now or later — at the
    durability hook [wal] (or detach with [None]). *)
 let set_wal db wal =

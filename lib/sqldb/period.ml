@@ -94,20 +94,25 @@ let coalesce ~equal_value pairs =
       List.map (fun p -> (v, p)) (merge_run [] ps))
     !groups
 
-(* The constant periods induced by a set of periods within a temporal
-   context: consecutive pairs of the sorted distinct event points, clipped
-   to the context.  This is the engine-level equivalent of the paper's
-   Figure 8 ts/cp self-join (see DESIGN.md, substitution table). *)
-let constant_periods ~context periods =
-  let points =
-    List.concat_map (fun p -> [ p.begin_; p.end_ ]) periods
-    |> List.filter (fun d -> d > context.begin_ && d < context.end_)
-    |> List.cons context.begin_
-    |> fun pts -> pts @ [ context.end_ ]
-  in
-  let points = List.sort_uniq Date.compare points in
-  let rec pairs = function
-    | a :: (b :: _ as rest) -> { begin_ = a; end_ = b } :: pairs rest
-    | [ _ ] | [] -> []
-  in
-  pairs points
+(* The constant periods of the context [bt, et) under a set of event
+   points: consecutive pairs of the sorted distinct points strictly inside
+   the context, with [bt] and [et] as sentinels.  This is the
+   engine-level equivalent of the paper's Figure 8 ts/cp self-join (see
+   DESIGN.md, substitution table). *)
+let constant_periods ~bt ~et points =
+  if bt >= et then []
+  else begin
+    let inside = List.filter (fun d -> d > bt && d < et) points in
+    let arr = Array.make (List.length inside + 2) bt in
+    arr.(1) <- et;
+    List.iteri (fun i d -> arr.(i + 2) <- d) inside;
+    Array.sort Date.compare arr;
+    let rec pairs prev i acc =
+      if i >= Array.length arr then List.rev acc
+      else
+        let d = arr.(i) in
+        if d = prev then pairs prev (i + 1) acc
+        else pairs d (i + 1) ((prev, d) :: acc)
+    in
+    pairs bt 1 []
+  end

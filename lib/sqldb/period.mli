@@ -34,7 +34,12 @@ val coalesce : equal_value:('a -> 'a -> bool) -> ('a * t) list -> ('a * t) list
 (** Merge value-equivalent overlapping or adjacent timestamped values into
     maximal periods — the classic temporal-database coalescing operation. *)
 
-val constant_periods : context:t -> t list -> t list
-(** The constant periods induced by the given periods within [context]:
-    maximal sub-periods of [context] during which no period begins or ends.
-    Engine-level equivalent of the paper's Figure 8 [ts]/[cp] computation. *)
+val constant_periods :
+  bt:Date.t -> et:Date.t -> Date.t list -> (Date.t * Date.t) list
+(** [constant_periods ~bt ~et points] are the constant periods of the
+    context [\[bt, et)] under the event [points]: the ascending pairs of
+    adjacent distinct points strictly inside the context, with [bt] and
+    [et] as sentinels — the maximal sub-periods during which no point
+    falls.  Empty when [bt >= et].  Engine-level equivalent of the
+    paper's Figure 8 [ts]/[cp] computation; both the stratum's
+    [taupsm_constant_periods] and the constant-period memo use it. *)

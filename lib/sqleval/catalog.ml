@@ -13,13 +13,6 @@ type native_table_fun = {
   ntf_fn : t -> Sqldb.Value.t list -> Result_set.t;
 }
 
-(* An opaque extension slot on the catalog.  The plan-compilation layer
-   (lib/compile, which depends on this library) hangs its closure cache
-   here via [type ext += ...]; keeping the slot extensible avoids a
-   dependency cycle while letting {!read_view} share one compiled-entry
-   cache across all worker views of a statement. *)
-and ext = ..
-
 and t = {
   db : Sqldb.Database.t;
   views : (string, Sqlast.Ast.query) Hashtbl.t;
@@ -61,12 +54,9 @@ and t = {
          and re-derived routine bodies change what a statement
          transforms into, so cached plans must react to them even
          though the durable-schema token does not — see
-         {!cache_token}. *)
-  mutable compile_ext : ext option;
-      (* the plan-compilation layer's per-catalog closure cache (see
-         {!ext}).  Shared by {!read_view} so serving sessions hit the
-         parent's compiled entries; dropped by {!copy} (a deep copy is a
-         different database). *)
+         {!cache_token}.  Emptied once it holds {!plan_cache_bound}
+         entries, so a stream of distinct statements cannot grow it
+         without end. *)
   calibration : Calibration.t;
       (* learned MAX/PERST timings for the adaptive chooser, stamped
          with {!plan_token} per entry; persisted through the durable
@@ -106,11 +96,10 @@ and options = {
          because the repository benchmark still assigns it; the next
          benchmark change deletes that assignment and then this field *)
   mutable compile : bool;
-      (* closure-compilation of hot physical plans (lib/compile): when
-         on, the evaluator consults the installed compiler before
-         interpreting a SELECT and runs a ready closure on coverage.
-         Part of the plan-cache fingerprint — compiled entries are keyed
-         by the same validity token *)
+      (* closure-compilation of SELECT plans (lib/compile): when on, the
+         evaluator consults the installed compiler before interpreting
+         a SELECT and runs a ready closure on coverage.  Part of the
+         plan-cache fingerprint, as the other evaluator switches are *)
   mutable check_constraints : bool;
       (* enforcement of declared temporal integrity constraints
          (TEMPORAL PRIMARY KEY / FOREIGN KEY) at statement commit; off
@@ -167,7 +156,6 @@ let create () =
     derived_epoch = 0;
     derived_prefixes = [];
     plan_cache = Hashtbl.create 16;
-    compile_ext = None;
     calibration = Calibration.create ();
     cp_memo = Cp_memo.create ();
     memo_inputs = Hashtbl.create 16;
@@ -212,6 +200,24 @@ let add_view cat name q =
   Hashtbl.replace cat.views k q
 
 let find_view cat name = Hashtbl.find_opt cat.views (key name)
+
+(* What a FROM item's name denotes: a table — temporary first, then
+   base, as temp shadowing means — and only when there is none, a view.
+   Every layer that resolves a FROM name (evaluator, planner, analysis,
+   the temporal transformations) asks here, so a view and a table of
+   the same name mean the same thing on every path. *)
+let resolve_from cat name =
+  match Sqldb.Database.find_table cat.db name with
+  | Some t -> `Table t
+  | None -> (
+      match find_view cat name with Some q -> `View q | None -> `Unknown)
+
+(* The view a FROM item's name reads, if it reads one (see
+   {!resolve_from}). *)
+let from_view cat name =
+  match resolve_from cat name with
+  | `View q -> Some q
+  | `Table _ | `Unknown -> None
 
 (* Every view and routine definition as one re-parseable conventional
    SQL statement — the catalog half of a durable snapshot.  Sorted {e
@@ -364,7 +370,14 @@ let find_plan cat key =
       end;
       None
 
+(* Past this many entries the plan cache starts over.  Its keys hash on
+   the top of the statement's AST only, so a long run of distinct
+   statements would otherwise make every lookup walk long chains. *)
+let plan_cache_bound = 1024
+
 let store_plan cat key plan =
+  if Hashtbl.length cat.plan_cache >= plan_cache_bound then
+    Hashtbl.reset cat.plan_cache;
   Hashtbl.replace cat.plan_cache key (cache_token cat, plan)
 
 (* Deep copy: storage is copied; views/routines (immutable ASTs) and
@@ -387,7 +400,6 @@ let copy cat =
     derived_epoch = cat.derived_epoch;
     derived_prefixes = cat.derived_prefixes;
     plan_cache = Hashtbl.create 16;
-    compile_ext = None;
     calibration = Calibration.copy_into cat.calibration;
     cp_memo = Cp_memo.create ();
     memo_inputs = Hashtbl.create 16;
@@ -399,14 +411,15 @@ let copy cat =
    *private hashtable copies* — the ASTs themselves are shared and
    immutable, but full statement execution re-registers the stratum's
    own max_ routines per execution, and concurrent views writing into a
-   shared registry would race — the guard is fresh (each view tracks its
-   own budgets) and — unlike {!copy} — both version counters AND the
-   compiled-closure cache are preserved, so a view's plan-cache and
-   compiled-entry lookups hit the parent's warm entries (the compiled
-   store is mutex-guarded).  The calibration is the parent's own
-   (mutex-guarded too): what Auto measures on a view, it learns for
-   the parent.  Sound only while the underlying database is
-   not mutated; views of a {!publish}ed snapshot are safe forever. *)
+   shared registry would race — and the guard is fresh (each view
+   tracks its own budgets).  Both version counters are preserved; the
+   plan cache, constant-period memo and SELECT-memo verdicts start
+   empty, and compiled SELECT plans never outlive a statement anyway
+   (see [Eval.memo_slot]), so a view shares no cache with its parent
+   but the calibration.  That one is the parent's own (mutex-guarded):
+   what Auto measures on a view, it learns for the parent.  Sound only
+   while the underlying database is not mutated; views of a
+   {!publish}ed snapshot are safe forever. *)
 let read_view cat =
   let db = Sqldb.Database.read_view cat.db in
   let obs = Trace.create () in
@@ -422,7 +435,6 @@ let read_view cat =
     derived_epoch = cat.derived_epoch;
     derived_prefixes = cat.derived_prefixes;
     plan_cache = Hashtbl.create 16;
-    compile_ext = cat.compile_ext;
     calibration = cat.calibration;
     cp_memo = Cp_memo.create ();
     memo_inputs = Hashtbl.create 16;
@@ -433,10 +445,12 @@ let read_view cat =
    next write to each live table privatizes its row array, so the
    snapshot never sees a torn state), views/routines/natives are
    hashtable copies taken at publication time, version counters are
-   preserved, and the calibration is shared with the publisher.  The publisher must make the snapshot visible through an
-   [Atomic.t] (release/acquire) before other domains read it; readers
-   then take a {!read_view} of the snapshot per statement, which is safe
-   indefinitely — unlike a read view of a live catalog. *)
+   preserved, the calibration is shared with the publisher, and every
+   other cache starts empty.  The publisher must make the snapshot
+   visible through an [Atomic.t] (release/acquire) before other domains
+   read it; readers then take a {!read_view} of the snapshot per
+   statement, which is safe indefinitely — unlike a read view of a live
+   catalog. *)
 let publish cat =
   {
     db = Sqldb.Database.freeze cat.db;
@@ -449,7 +463,6 @@ let publish cat =
     derived_epoch = cat.derived_epoch;
     derived_prefixes = cat.derived_prefixes;
     plan_cache = Hashtbl.create 16;
-    compile_ext = cat.compile_ext;
     calibration = cat.calibration;
     cp_memo = Cp_memo.create ();
     memo_inputs = Hashtbl.create 16;

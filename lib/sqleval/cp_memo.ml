@@ -139,25 +139,15 @@ let periods t ~generation ~db ~tables ~bt ~et : result =
           t.hits <- t.hits + 1;
           { pairs; cache_hit = true; rescanned = !rescanned }
       | None ->
-          let acc = Hashtbl.create 64 in
-          List.iter
-            (fun name ->
-              match Hashtbl.find_opt t.tables name with
-              | Some e ->
-                  Hashtbl.iter
-                    (fun d _ -> if d > bt && d < et then Hashtbl.replace acc d ())
-                    e.points
-              | None -> ())
-            names;
-          let pts =
-            bt :: et :: Hashtbl.fold (fun d () l -> d :: l) acc []
-            |> List.sort_uniq compare
+          let points =
+            List.fold_left
+              (fun l name ->
+                match Hashtbl.find_opt t.tables name with
+                | Some e -> Hashtbl.fold (fun d _ l -> d :: l) e.points l
+                | None -> l)
+              [] names
           in
-          let rec pair = function
-            | a :: (b :: _ as rest) -> (a, b) :: pair rest
-            | [ _ ] | [] -> []
-          in
-          let pairs = if bt >= et then [] else pair pts in
+          let pairs = Sqldb.Period.constant_periods ~bt ~et points in
           Hashtbl.replace t.results key pairs;
           { pairs; cache_hit = false; rescanned = !rescanned })
 

@@ -48,10 +48,14 @@ type scope = {
    a source-to-source one. *)
 type tt_mode = Select_plan.tt_mode
 
+(* A SELECT node's compiled plan, defined by lib/compile (which depends
+   on this library) and opaque here. *)
+type compiled = ..
+
 (* The per-statement state of one SELECT node, found by physical
    identity and started over when the catalog generation, database
    version or temp-table epoch it records moves.  It holds the compiled
-   plan the compile hook cached for the node ([ms_plan]), the SELECT
+   plan the compile hook made for the node ([ms_plan]), the SELECT
    memo's verdict ({!Select_plan.memo_inputs}, taken at the node's
    second evaluation: a node run once has nothing to replay, and most
    run once) and the node's last run: the tables it read, by physical
@@ -80,13 +84,36 @@ type memo_slot = {
   mutable ms_last : memo_run option;
   mutable ms_misses : int;  (* consecutive misses *)
   mutable ms_skip : int;  (* evaluations left to run without the memo *)
-  mutable ms_plan : Catalog.ext option;
+  mutable ms_plan : compiled option;
 }
 
 module Select_memo = Hashtbl.Make (struct
   type t = select
 
   let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* Values that no SQL expression can tell apart: structurally equal, so
+   [Int 1] and [Float 1.0] differ, and floats bit for bit, so [0.0] and
+   [-0.0] differ too. *)
+let same_value (x : Value.t) y =
+  match (x, y) with
+  | Value.Float a, Value.Float b ->
+      Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  | _ -> x = y
+
+(* Table-function invocations by (catalog generation, lowercase name,
+   argument values); the generation makes entries self-invalidating: a
+   CALL that executes DDL redefining a routine mid-statement bumps it,
+   so later invocations cannot be served rows computed under the old
+   definition. *)
+module Tf_memo = Hashtbl.Make (struct
+  type t = int * string * Value.t list
+
+  let equal (g, f, a) (g', f', a') =
+    g = g' && String.equal f f' && List.equal same_value a a'
+
   let hash = Hashtbl.hash
 end)
 
@@ -97,13 +124,9 @@ type env = {
   mutable frames : binding list list;  (* innermost query first *)
   mutable scopes : scope list;  (* innermost block first; [] at top level *)
   depth : int ref;  (* shared routine-recursion guard *)
-  (* Per-statement memo cache for table-valued function invocations:
-     key = (catalog generation, function name, argument values).  The
-     generation component makes entries self-invalidating: a CALL that
-     executes DDL redefining a routine mid-statement bumps the
-     generation, so later invocations cannot be served rows computed
-     under the old definition. *)
-  tf_cache : (int * string * Value.t list, Result_set.t) Hashtbl.t;
+  tf_cache : ((int * int) * Result_set.t) Tf_memo.t;
+      (* per-statement table-function results (see {!Tf_memo}), each
+         with the {!Database.base_stamp} it was computed under *)
   select_memo : memo_slot Select_memo.t;
       (* per-statement SELECT state (see {!memo_slot}); shared, like
          [tf_cache], by routine child environments *)
@@ -112,12 +135,6 @@ type env = {
          view met again inside its own expansion is a cycle *)
   mutable calls : int;  (* statistics: routine invocations *)
   guard : Guard.t;  (* the catalog's resource guard, bound once *)
-  ext_state : Catalog.ext option ref;
-      (* opaque per-statement scratch slot for the plan-compilation
-         layer (lib/compile): caches per-plan scan rows and hash
-         indexes across the many SELECT evaluations of one top-level
-         statement.  One shared ref cell, so routine child environments
-         (which copy the record) reuse the same cache. *)
 }
 
 let new_scope () =
@@ -135,12 +152,11 @@ let create_env ?(now = Date.of_ymd ~y:2011 ~m:1 ~d:1) ?(tt_mode = `Current) cat
     frames = [];
     scopes = [];
     depth = ref 0;
-    tf_cache = Hashtbl.create 64;
+    tf_cache = Tf_memo.create 64;
     select_memo = Select_memo.create 16;
     expanding = [];
     calls = 0;
     guard = cat.Catalog.options.Catalog.guards;
-    ext_state = ref None;
   }
 
 (* A child environment for a routine body: fresh frames and scopes so the
@@ -458,20 +474,11 @@ let memo_slot env s =
       Select_memo.replace env.select_memo s m;
       m
 
-(* Outward-reference values that no SELECT can tell apart: structurally
-   equal, so [Int 1] and [Float 1.0] differ, and floats bit for bit, so
-   [0.0] and [-0.0] differ too. *)
+(* Outward-reference values that no SELECT can tell apart (see
+   {!same_value}). *)
 let same_key (a : Value.t array) b =
   let n = Array.length a in
-  let rec go i =
-    i >= n
-    ||
-    match (a.(i), b.(i)) with
-    | Value.Float x, Value.Float y ->
-        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-        && go (i + 1)
-    | x, y -> x = y && go (i + 1)
-  in
+  let rec go i = i >= n || (same_value a.(i) b.(i) && go (i + 1)) in
   go 0
 
 (* Do [names] still resolve to the tables [m] read: the same physical
@@ -770,12 +777,10 @@ and resolve_item env (it : Select_plan.item) ~correlated :
   in
   match it with
   | Select_plan.From_name (name, _) -> (
-      match Database.find_table env.cat.Catalog.db name with
-      | Some t -> (Select_plan.columns (Table.schema t), `Scan t)
-      | None -> (
-          match Catalog.find_view env.cat name with
-          | Some q -> derived ~view:(String.lowercase_ascii name) q
-          | None -> sql_error "unknown table or view %s" name))
+      match Catalog.resolve_from env.cat name with
+      | `Table t -> (Select_plan.columns (Table.schema t), `Scan t)
+      | `View q -> derived ~view:(String.lowercase_ascii name) q
+      | `Unknown -> sql_error "unknown table or view %s" name)
   | Select_plan.From_query (q, _) -> derived q
   | Select_plan.From_fun (fname, args, _) ->
       let cols =
@@ -807,29 +812,29 @@ and table_function_rows env fname args =
   else (invoke_table_function env fname argv).Result_set.rows
 
 (* Invoke a table function, memoizing on argument values for the duration
-   of the enclosing top-level statement.  Native table functions are not
-   memoized: they may read mutable temporary state (e.g. the stratum's
-   runtime constant-period computation over variable tables). *)
+   of the enclosing top-level statement while no base table moves.
+   Temporary tables do not count: PERST's ps_ functions re-create theirs
+   at every call.  Native table functions are not memoized: they may
+   read mutable temporary state (e.g. the stratum's runtime
+   constant-period computation over variable tables). *)
 and invoke_table_function env fname argv : Result_set.t =
   match Catalog.find_native_table_fun env.cat fname with
   | Some ntf -> ntf.Catalog.ntf_fn env.cat argv
   | None -> (
-      (* Keyed on the catalog generation so mid-statement DDL that
-         redefines a routine orphans every entry computed under the old
-         definitions instead of serving stale rows. *)
       let key =
         (env.cat.Catalog.generation, String.lowercase_ascii fname, argv)
       in
-      match Hashtbl.find_opt env.tf_cache key with
-      | Some rs -> rs
-      | None ->
+      let stamp = Database.base_stamp env.cat.Catalog.db in
+      match Tf_memo.find_opt env.tf_cache key with
+      | Some (st, rs) when st = stamp -> rs
+      | _ ->
           let r =
             match Catalog.find_function env.cat fname with
             | Some r -> r
             | None -> sql_error "unknown table function %s" fname
           in
           let rs = invoke_routine_table env r argv in
-          Hashtbl.add env.tf_cache key rs;
+          Tf_memo.replace env.tf_cache key (stamp, rs);
           rs)
 
 (* A SELECT whose verdict qualifies (see {!memo_slot}) replays its last

@@ -153,22 +153,19 @@ let table_fun_columns (cat : Catalog.t) fname =
 (* A view a FROM item names; [seen] holds the views being expanded, so a
    view defined over itself is not entered again. *)
 let view_of (cat : Catalog.t) seen name =
-  match Sqldb.Database.find_table cat.Catalog.db name with
-  | Some _ -> None
-  | None -> (
-      match Catalog.find_view cat name with
-      | Some q when not (List.mem (lc name) seen) -> Some (q, lc name :: seen)
-      | _ -> None)
+  match Catalog.from_view cat name with
+  | Some q when not (List.mem (lc name) seen) -> Some (q, lc name :: seen)
+  | _ -> None
 
 (* Output columns, statically and lowercase, named as the evaluator
    names them. *)
 let rec item_cols cat seen = function
   | From_name (name, _) -> (
-      match Sqldb.Database.find_table cat.Catalog.db name with
-      | Some t -> Some (columns (Table.schema t))
-      | None ->
-          Option.bind (view_of cat seen name) (fun (q, seen) ->
-              query_cols cat seen q))
+      match Catalog.resolve_from cat name with
+      | `Table t -> Some (columns (Table.schema t))
+      | `View q when not (List.mem (lc name) seen) ->
+          query_cols cat (lc name :: seen) q
+      | `View _ | `Unknown -> None)
   | From_query (q, _) -> query_cols cat seen q
   | From_fun (f, _, _) -> Result.to_option (table_fun_columns cat f)
 
@@ -214,8 +211,8 @@ let select_exprs (s : select) =
 
 (* Whether [q] names the view [target] in some FROM, directly or
    through other views, at any depth.  A name counts as a view's even
-   where a table of that name shadows it in evaluation: the stratum
-   expands views before it looks for tables. *)
+   where a table of that name shadows it now: the table may be dropped
+   later, and then the view reads itself. *)
 let reaches_view (cat : Catalog.t) target q =
   let target = lc target in
   let rec query seen q = List.exists (select seen) (query_selects q)

@@ -254,6 +254,30 @@ let qcheck_tests =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* A temp table re-created with another schema within one statement    *)
+(* ------------------------------------------------------------------ *)
+
+(* The second SELECT has the same text as the first but reads the new
+   table's columns, so it must not run a plan made for the old ones. *)
+let test_temp_reshape () =
+  List.iter
+    (fun compile ->
+      let e = Engine.create () in
+      Stratum.install e;
+      (Engine.catalog e).Catalog.options.Catalog.compile <- compile;
+      Engine.exec_script e
+        "CREATE FUNCTION f () RETURNS INTEGER LANGUAGE SQL BEGIN DECLARE x \
+         INTEGER; DECLARE y INTEGER; CREATE TEMPORARY TABLE tt (a INTEGER, b \
+         INTEGER); INSERT INTO tt VALUES (1, 2); SET x = (SELECT b FROM tt); \
+         CREATE TEMPORARY TABLE tt (b INTEGER); INSERT INTO tt VALUES (5); \
+         SET y = (SELECT b FROM tt); RETURN x * 100 + y; END";
+      Alcotest.(check (list (list string)))
+        (Printf.sprintf "each SELECT reads its own table (compile %b)" compile)
+        [ [ "205" ] ]
+        (rows_of (Engine.query e "SELECT f()")))
+    [ true; false ]
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -261,6 +285,8 @@ let suite =
       [
         Alcotest.test_case "16 queries: {compiled,interp} rows agree" `Slow
           test_equivalence;
+        Alcotest.test_case "temp table re-created with another schema"
+          `Quick test_temp_reshape;
       ] );
     ("compile-equivalence", qcheck_tests);
   ]

@@ -429,6 +429,26 @@ let test_plan_cache_options_token () =
   ignore (Stratum.exec ~strategy:Stratum.Max e ts);
   Alcotest.(check int) "flipped back: miss" 1 (c "plan_cache.miss")
 
+(* A stream of distinct statements cannot grow the plan cache past its
+   bound, and a statement repeated after it still hits. *)
+let test_plan_cache_bound () =
+  let e = setup_item () in
+  let cat = Engine.catalog e in
+  let bound = Catalog.plan_cache_bound in
+  for i = 0 to bound do
+    ignore
+      (Stratum.transform ~strategy:Stratum.Max e
+         (Sqlparse.Parser.parse_temporal_stmt
+            (Printf.sprintf "%s WHERE id = %d" seq_query i)))
+  done;
+  Alcotest.(check bool)
+    "at most bound entries" true
+    (Hashtbl.length cat.Catalog.plan_cache <= bound);
+  let ts = Sqlparse.Parser.parse_temporal_stmt seq_query in
+  let p1 = Stratum.transform ~strategy:Stratum.Max e ts in
+  let p2 = Stratum.transform ~strategy:Stratum.Max e ts in
+  Alcotest.(check bool) "a repeated statement still hits" true (p1 == p2)
+
 let suite =
   [
     ( "interval-index",
@@ -444,5 +464,7 @@ let suite =
             test_plan_cache;
           Alcotest.test_case "plan cache: options join the token" `Quick
             test_plan_cache_options_token;
+          Alcotest.test_case "plan cache: bounded" `Quick
+            test_plan_cache_bound;
         ] );
   ]

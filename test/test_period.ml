@@ -10,6 +10,12 @@ let pd b e = p (d 2010 1 b) (d 2010 1 e)
 
 let period_t = Alcotest.testable Period.pp Period.equal
 
+(* The constant periods of [context] under the event points of [ps]. *)
+let constant_periods ~(context : Period.t) ps =
+  Period.constant_periods ~bt:context.begin_ ~et:context.end_
+    (List.concat_map (fun (q : Period.t) -> [ q.begin_; q.end_ ]) ps)
+  |> List.map (fun (b, e) -> p b e)
+
 let test_make () =
   Alcotest.check_raises "empty period rejected"
     (Invalid_argument "Period.make: empty period [2010-01-05, 2010-01-05)")
@@ -56,7 +62,7 @@ let test_coalesce () =
 let test_constant_periods () =
   (* Figure 7(a)-like input: three tables' periods, context covering all. *)
   let context = pd 1 20 in
-  let cps = Period.constant_periods ~context [ pd 2 10; pd 5 15; pd 10 18 ] in
+  let cps = constant_periods ~context [ pd 2 10; pd 5 15; pd 10 18 ] in
   Alcotest.(check (list period_t))
     "constant periods"
     [ pd 1 2; pd 2 5; pd 5 10; pd 10 15; pd 15 18; pd 18 20 ]
@@ -64,13 +70,13 @@ let test_constant_periods () =
 
 let test_constant_periods_clipped () =
   let context = pd 5 10 in
-  let cps = Period.constant_periods ~context [ pd 1 7; pd 8 20 ] in
+  let cps = constant_periods ~context [ pd 1 7; pd 8 20 ] in
   Alcotest.(check (list period_t)) "clipped" [ pd 5 7; pd 7 8; pd 8 10 ] cps
 
 let test_constant_periods_empty () =
   let context = pd 5 10 in
   Alcotest.(check (list period_t)) "no events" [ pd 5 10 ]
-    (Period.constant_periods ~context [])
+    (constant_periods ~context [])
 
 (* -------------------- properties -------------------- *)
 
@@ -88,7 +94,7 @@ let prop_constant_periods_cover =
   QCheck.Test.make ~name:"constant periods exactly tile the context" ~count:300
     arb_periods (fun ps ->
       let context = Period.make ~begin_:0 ~end_:1300 in
-      let cps = Period.constant_periods ~context ps in
+      let cps = constant_periods ~context ps in
       (* Tiling: first begins at context start, last ends at context end,
          consecutive periods meet. *)
       match cps with
@@ -106,7 +112,7 @@ let prop_constant_periods_constant =
     ~name:"no input period starts or ends inside a constant period" ~count:300
     arb_periods (fun ps ->
       let context = Period.make ~begin_:0 ~end_:1300 in
-      let cps = Period.constant_periods ~context ps in
+      let cps = constant_periods ~context ps in
       List.for_all
         (fun cp ->
           List.for_all
@@ -118,6 +124,30 @@ let prop_constant_periods_constant =
               && not (strictly_inside p.Period.end_))
             ps)
         cps)
+
+(* Against the sorted-unique list definition, on contexts that may be
+   empty and points that repeat or fall outside the context. *)
+let prop_constant_periods_reference =
+  QCheck.Test.make ~name:"constant periods = adjacent sorted distinct points"
+    ~count:300
+    QCheck.(
+      triple (int_range 0 60) (int_range 0 60)
+        (list_of_size Gen.(int_range 0 30) (int_range 0 60)))
+    (fun (bt, et, points) ->
+      let reference =
+        if bt >= et then []
+        else
+          let pts =
+            List.sort_uniq compare
+              (bt :: et :: List.filter (fun d -> d > bt && d < et) points)
+          in
+          let rec pairs = function
+            | a :: (b :: _ as rest) -> (a, b) :: pairs rest
+            | [ _ ] | [] -> []
+          in
+          pairs pts
+      in
+      Period.constant_periods ~bt ~et points = reference)
 
 let prop_intersect_commutes =
   QCheck.Test.make ~name:"intersect commutes" ~count:300
@@ -179,6 +209,7 @@ let suite =
           test_constant_periods_empty;
         QCheck_alcotest.to_alcotest prop_constant_periods_cover;
         QCheck_alcotest.to_alcotest prop_constant_periods_constant;
+        QCheck_alcotest.to_alcotest prop_constant_periods_reference;
         QCheck_alcotest.to_alcotest prop_intersect_commutes;
         QCheck_alcotest.to_alcotest prop_subtract_disjoint;
         QCheck_alcotest.to_alcotest prop_coalesce_preserves_granules;

@@ -265,6 +265,55 @@ let test_tf_cache_redefine_in_call () =
     [ [ "1"; "101" ] ]
     (rows e "SELECT a, b FROM outt")
 
+(* ------------------------------------------------------------------ *)
+(* Regression: tf_cache replays only under unchanged base tables and    *)
+(* tells argument values apart as the SELECT memo does                 *)
+(* ------------------------------------------------------------------ *)
+
+let tf_count_setup () =
+  let e = Engine.create () in
+  Engine.exec_script e
+    "CREATE TABLE t (v INTEGER);\n\
+     CREATE FUNCTION f () RETURNS TABLE (n INTEGER) READS SQL DATA \
+     LANGUAGE SQL BEGIN RETURN TABLE (SELECT COUNT(*) AS n FROM t); END";
+  e
+
+let test_tf_cache_base_write () =
+  let e = tf_count_setup () in
+  Engine.exec_script e
+    "CREATE FUNCTION g () RETURNS INTEGER MODIFIES SQL DATA LANGUAGE SQL \
+     BEGIN DECLARE x INTEGER; DECLARE y INTEGER; SET x = (SELECT n FROM \
+     TABLE(f()) a); INSERT INTO t VALUES (1); SET y = (SELECT n FROM \
+     TABLE(f()) a); RETURN x * 100 + y; END";
+  check_rows "the second call sees the insert" [ [ "1" ] ]
+    (rows e "SELECT g()")
+
+let test_tf_cache_temp_write () =
+  let e = tf_count_setup () in
+  let cat = Engine.catalog e in
+  cat.Sqleval.Catalog.options.Sqleval.Catalog.observe <- true;
+  Engine.exec_script e
+    "CREATE FUNCTION g () RETURNS INTEGER MODIFIES SQL DATA LANGUAGE SQL \
+     BEGIN DECLARE x INTEGER; DECLARE y INTEGER; SET x = (SELECT n FROM \
+     TABLE(f()) a); CREATE TEMPORARY TABLE tmp (a INTEGER); INSERT INTO tmp \
+     VALUES (1); SET y = (SELECT n FROM TABLE(f()) a); RETURN x * 100 + y; \
+     END";
+  let obs = Sqleval.Catalog.trace cat in
+  let before = Trace.get_count obs "routine.calls" in
+  check_rows "same rows" [ [ "0" ] ] (rows e "SELECT g()");
+  Alcotest.(check int)
+    "a temp-table write keeps the entry: g and one call of f" 2
+    (Trace.get_count obs "routine.calls" - before)
+
+let test_tf_cache_signed_zero () =
+  let e = Engine.create () in
+  Engine.exec_script e
+    "CREATE FUNCTION f (x DOUBLE) RETURNS TABLE (y VARCHAR(20)) READS SQL \
+     DATA LANGUAGE SQL BEGIN RETURN TABLE (SELECT CAST(x AS VARCHAR(20)) AS \
+     y); END";
+  check_rows "-0.0 and 0.0 are different arguments" [ [ "-0.0"; "0.0" ] ]
+    (rows e "SELECT * FROM TABLE(f(-0.0)) b, TABLE(f(0.0)) a")
+
 let suite =
   [
     ( "psm",
@@ -292,5 +341,11 @@ let suite =
           test_ddl_dump_name_order;
         Alcotest.test_case "tf_cache: redefine inside CALL" `Quick
           test_tf_cache_redefine_in_call;
+        Alcotest.test_case "tf_cache: base-table write" `Quick
+          test_tf_cache_base_write;
+        Alcotest.test_case "tf_cache: temp-table write keeps it" `Quick
+          test_tf_cache_temp_write;
+        Alcotest.test_case "tf_cache: -0.0 vs 0.0" `Quick
+          test_tf_cache_signed_zero;
       ] );
   ]

@@ -238,6 +238,45 @@ let test_read_only_routing () =
        "VALIDTIME [DATE '2010-01-01', DATE '2010-02-01') DELETE FROM t", false);
     ]
 
+(* A table and a view of one name: every path (evaluator, Current, MAX,
+   PERST) reads the table, a temporary one first. *)
+let test_table_shadows_view () =
+  let e = fresh () in
+  ignore
+    (Stratum.exec_script e
+       "CREATE TABLE x (v INTEGER); INSERT INTO x VALUES (1); CREATE TABLE y \
+        (v INTEGER); INSERT INTO y VALUES (2); CREATE VIEW x AS SELECT v \
+        FROM y");
+  let reads name sql =
+    check_rows name [ [ "1" ] ] (rows_of (Stratum.query e sql))
+  in
+  reads "current" "SELECT * FROM x";
+  reads "nonsequenced" "NONSEQUENCED VALIDTIME SELECT * FROM x";
+  ignore
+    (Stratum.exec_script e
+       "CREATE TABLE s (v INTEGER) WITH VALIDTIME; INSERT INTO s (v, \
+        begin_time, end_time) VALUES (1, DATE '2010-01-01', DATE \
+        '2010-03-01'); CREATE TABLE z (v INTEGER) WITH VALIDTIME; INSERT INTO \
+        z (v, begin_time, end_time) VALUES (2, DATE '2010-01-01', DATE \
+        '2010-03-01'); CREATE VIEW s AS SELECT v FROM z");
+  List.iter
+    (fun strategy ->
+      check_rows
+        ("sequenced, " ^ Stratum.strategy_to_string strategy)
+        [ [ "1"; "2010-01-01"; "2010-03-01" ] ]
+        (rows_of
+           (Stratum.query ~strategy e
+              "VALIDTIME [DATE '2010-01-01', DATE '2010-06-01') SELECT v FROM \
+               s")))
+    [ Stratum.Max; Stratum.Perst ];
+  ignore
+    (Stratum.exec_script e
+       "CREATE VIEW w AS SELECT v FROM y; CREATE TEMPORARY TABLE w (v \
+        INTEGER); INSERT INTO w VALUES (1)");
+  reads "temp table over a view, current" "SELECT * FROM w";
+  reads "temp table over a view, nonsequenced"
+    "NONSEQUENCED VALIDTIME SELECT * FROM w"
+
 let suite =
   [
     ( "stratum-edge",
@@ -261,5 +300,7 @@ let suite =
           test_coalesce_result;
         Alcotest.test_case "read_only routes every reachable write" `Quick
           test_read_only_routing;
+        Alcotest.test_case "a table shadows a view of its name" `Quick
+          test_table_shadows_view;
       ] );
   ]
